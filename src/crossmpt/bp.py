@@ -32,8 +32,6 @@ class TannerGraph:
         self.n_edges = len(checks)
         if self.n_edges != h.popcount():
             raise AssertionError("edge count mismatch")
-        self.check_neighbors = [list(np.nonzero(h.bits[c])[0]) for c in range(self.m)]
-        self.var_neighbors = [list(np.nonzero(h.bits[:, v])[0]) for v in range(self.n)]
         self._cn_edges, self._cn_pad = _padded_groups(self.check_of_edge, self.m)
         self._vn_edges, self._vn_pad = _padded_groups(self.var_of_edge, self.n)
 

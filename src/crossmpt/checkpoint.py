@@ -4,13 +4,15 @@ A checkpoint is an .npz archive with a JSON header (format tag, version,
 architecture config, code identities, seed, step/epoch counters) plus raw
 float arrays for every parameter, optional Adam state, and the PCM of every
 referenced code so decoding is possible without the registry. Round-trips
-are exact.
+are exact. Writes go through a temporary file that replaces the target only
+once it is complete, so an interrupted save never leaves a truncated archive.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,7 +120,15 @@ def save_checkpoint(
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    path.write_bytes(buf.getvalue())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(buf.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -162,6 +172,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name = meta["name"]
         if name in list_codes():
             codes[name] = get_code(name)
+            if codes[name].pcm != pcm_by_name[name]:
+                raise CheckpointError(
+                    f"stored PCM for {name} differs from the registry code {name}; "
+                    "the checkpoint was trained on another matrix"
+                )
         else:
             h = pcm_by_name[name]
             codes[name] = Code(

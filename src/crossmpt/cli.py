@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bp import BpConfig
-from .channel import NoiseSpec, modulate, sample
+from .channel import NoiseSpec, _derive, modulate, sample
 from .checkpoint import load_checkpoint
 from .codes import get_code, list_codes, load_code, registry_hash
 from .ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report
@@ -219,8 +219,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
     if checkpoint:
         decoder = _decoder_from_checkpoint(checkpoint, code)
         decoder.name = f"checkpoint_{Path(checkpoint).stem}"
-        if hasattr(decoder, "ens"):
-            code = decoder.code  # syndromes for every branch
+        code = decoder.code  # an ensemble's branch code samples every branch syndrome
     elif decoder_kind == "bp":
         decoder = BpDecoder(code, BpConfig(max_iters=iters, algorithm=bp_algorithm))
     else:
@@ -317,22 +316,15 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
     """Write per-layer attention maps and vertical sums as CSV files."""
     code = _resolve_code(code_name, None)
     decoder = _decoder_from_checkpoint(checkpoint, code)
-    sampling_code = decoder.code if hasattr(decoder, "ens") else code
     if flip_bit is not None:
         if not 0 <= flip_bit < code.n:
             raise click.UsageError(f"--flip-bit {flip_bit} outside 0..{code.n - 1}")
-        from .channel import ChannelSample, hard_decision, syndromes_of
-        x = np.zeros(code.n, dtype=np.uint8)
+        x = np.zeros((1, code.n), dtype=np.uint8)
         y = modulate(x)
-        y[flip_bit] *= -1.0
-        y_b = hard_decision(y)
-        smp = ChannelSample(
-            x=x, x_s=modulate(x), y=y, y_b=y_b, mag=np.abs(y),
-            syndromes=syndromes_of(sampling_code, y_b),
-            target=hard_decision(y * modulate(x)), ebn0_db=float("inf"),
-        )
+        y[0, flip_bit] *= -1.0
+        smp = _derive(decoder.code, x, modulate(x), y, np.array([np.inf])).row(0)
     else:
-        smp = sample(sampling_code, NoiseSpec.for_code(sampling_code, ebn0, seed=seed), policy="all_zero")
+        smp = sample(decoder.code, NoiseSpec.for_code(decoder.code, ebn0, seed=seed), policy="all_zero")
     layer_range = None
     if layers:
         lo, _, hi = layers.partition("..")

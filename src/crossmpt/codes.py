@@ -43,11 +43,7 @@ __all__ = [
 class CodeClass(Enum):
     BCH = "bch"
     HAMMING = "hamming"
-    POLAR = "polar"
     LDPC = "ldpc"
-    CCSDS = "ccsds"
-    WRAN = "wran"
-    TURBO = "turbo"
     OTHER = "other"
 
 
@@ -238,10 +234,6 @@ def parse_alist(text: str) -> BinaryMatrix:
                     f"line 4: row {row + 1} weight {int(h[row].sum())} != declared "
                     f"{row_weights[row]}"
                 )
-    return h_to_matrix(h)
-
-
-def h_to_matrix(h: np.ndarray) -> BinaryMatrix:
     return BinaryMatrix(h)
 
 

@@ -13,36 +13,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .channel import BatchSample, ChannelSample
+from .channel import BatchSample
 from .codes import Code
 from .gf2 import BinaryMatrix, complementary_pcm, diagonalize_at, systematic_form
 from .masks import build_crossmpt_masks
-from .models import ModelConfig, Variant, decide, foundation_logits, init_params, freeze
+from .models import DecoderModel, ModelConfig, Variant, decide, foundation_logits
 
 __all__ = ["EnsembleConfig", "build_ensemble", "coverage_report", "crossed_forward", "CrossEDModel"]
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """p branch PCMs over one code plus the shared foundation architecture.
-
-    fusion "output" runs fully parallel towers fused once at the head;
-    "per_layer" additionally averages the magnitude streams across branches
-    after every decoder layer.
-    """
+    """p branch PCMs over one code plus the shared foundation architecture."""
 
     code: Code
     base: ModelConfig
     pcms: tuple[BinaryMatrix, ...]
-    fusion: str = "output"
 
     def __post_init__(self):
         if not self.base.code_agnostic:
             raise ValueError("ensemble decoding requires a code-agnostic base variant")
         if len(self.pcms) < 1:
             raise ValueError("at least one branch PCM required")
-        if self.fusion not in ("output", "per_layer"):
-            raise ValueError(f"unknown fusion mode {self.fusion!r}")
 
     @property
     def p(self) -> int:
@@ -58,7 +50,6 @@ def build_ensemble(
     code: Code,
     p: int,
     base: ModelConfig | None = None,
-    fusion: str = "output",
 ) -> EnsembleConfig:
     """Construct the branch PCM list [H_sys, H_c^1, ..., H_c^(p-1)].
 
@@ -80,7 +71,7 @@ def build_ensemble(
             pcms.append(reduced)
     if base is None:
         base = ModelConfig(variant=Variant.FCROSSMPT, n_layers=2, embed_dim=32)
-    return EnsembleConfig(code=code, base=base, pcms=tuple(pcms), fusion=fusion)
+    return EnsembleConfig(code=code, base=base, pcms=tuple(pcms))
 
 
 def coverage_report(ens: EnsembleConfig) -> list[list[int]]:
@@ -110,48 +101,12 @@ def crossed_forward(
     if len(syndromes) != ens.p:
         raise ValueError(f"got {len(syndromes)} syndromes for {ens.p} branches")
     branch_masks = [build_crossmpt_masks(h) for h in ens.pcms]
-    if ens.fusion == "output":
-        return foundation_logits(params, ens.base, branch_masks, mag, list(syndromes), capture)
-    return _per_layer_fused_logits(params, ens, branch_masks, mag, list(syndromes), capture)
+    return foundation_logits(params, ens.base, branch_masks, mag, list(syndromes), capture)
 
 
-def _per_layer_fused_logits(params, ens, branch_masks, mag, syndromes, capture):
-    """Alternative interleaved schedule: after every decoder layer the branch
-    magnitude streams are averaged back into one shared stream."""
-    from . import autodiff as ad
-    from .models import _embed_tensors, _layer_params, crossmpt_layer
-
-    cfg = ens.base
-    n = mag.shape[-1]
-    order = sorted(range(ens.p), key=lambda j: branch_masks[j][1].support.tobytes())
-    streams = []
-    for j in order:
-        m_t, s_t = _embed_tensors(params, cfg, n, mag, syndromes[j])
-        streams.append([m_t, s_t])
-    for i in range(cfg.n_layers):
-        lp = _layer_params(params, i)
-        for idx, j in enumerate(order):
-            m_new, s_new = crossmpt_layer(streams[idx][0], streams[idx][1], lp, branch_masks[j], cfg, capture)
-            streams[idx] = [m_new, s_new]
-        fused_m = streams[0][0]
-        for idx in range(1, ens.p):
-            fused_m = ad.add(fused_m, streams[idx][0])
-        fused_m = ad.scale(fused_m, 1.0 / ens.p)
-        for idx in range(ens.p):
-            streams[idx][0] = fused_m
-    total = None
-    for idx, j in enumerate(order):
-        m_n = ad.layer_norm(streams[idx][0], params["head.norm.gain"], params["head.norm.bias"])
-        s_n = ad.layer_norm(streams[idx][1], params["head.norm.gain"], params["head.norm.bias"])
-        ht = ad.constant(branch_masks[j][1].support.T.astype(m_n.dtype))
-        contrib = ad.add(m_n, ad.matmul(ht, s_n))
-        total = contrib if total is None else ad.add(total, contrib)
-    out = ad.add(ad.matmul(total, params["head.fc.w"]), params["head.fc.b"])
-    return ad.reshape(ad.transpose(out), out.shape[:-2] + (out.shape[-2],))
-
-
-class CrossEDModel:
-    """Ensemble decoder bundling config, branch PCMs, and shared parameters."""
+class CrossEDModel(DecoderModel):
+    """Ensemble decoder: a foundation DecoderModel over the branch code, whose
+    forward runs one weight-shared tower per branch PCM."""
 
     def __init__(
         self,
@@ -161,24 +116,12 @@ class CrossEDModel:
         dtype=np.float64,
         infer_only: bool = False,
     ):
+        super().__init__(ens.base, ens.branch_code(), params, seed, dtype, infer_only)
         self.ens = ens
-        self.params = params if params is not None else init_params(ens.base, None, seed, dtype)
-        if infer_only:
-            self.params = freeze(self.params)
-        self.code = ens.branch_code()
 
     def logits_batch(self, mag: np.ndarray, syndromes: list[np.ndarray], capture=None) -> Tensor:
         return crossed_forward(self.params, self.ens, mag, syndromes, capture)
 
-    def decode(self, sample: ChannelSample) -> np.ndarray:
-        logits = self.logits_batch(sample.mag[None, :], [s[None, :] for s in sample.syndromes])
-        return decide(sample.y, logits.data[0])
-
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         logits = self.logits_batch(batch.mag, list(batch.syndromes))
         return decide(batch.y, logits.data)
-
-    def param_count(self) -> int:
-        from .models import param_count
-
-        return param_count(self.ens.base, None)

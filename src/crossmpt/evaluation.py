@@ -1,8 +1,8 @@
 """Monte-Carlo BER/FER estimation, analytic complexity comparison, attention
 dumps, and per-position error tables.
 
-Decoders are objects with decode(ChannelSample) -> bits and, optionally, a
-vectorized decode_batch(BatchSample) -> (B, n) bits that the harness prefers.
+Decoders are objects with decode_batch(BatchSample) -> (B, n) bits; a
+single frame is a one-row batch.
 Sampling streams are pure functions of (seed, snr index, chunk index) and
 chunk results are merged in index order, so counts are bit-identical for any
 worker count.
@@ -144,9 +144,6 @@ class IdentityDecoder:
 
     name = "uncoded"
 
-    def decode(self, sample: ChannelSample) -> np.ndarray:
-        return sample.y_b
-
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         return batch.y_b
 
@@ -155,9 +152,6 @@ class PerfectDecoder:
     """Oracle that returns the transmitted codeword (calibration only)."""
 
     name = "oracle"
-
-    def decode(self, sample: ChannelSample) -> np.ndarray:
-        return sample.x
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         return batch.x
@@ -176,11 +170,6 @@ class BpDecoder:
         sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (np.atleast_1d(ebn0_db) / 10.0))
         return 2.0 * y / sigma2[:, None]
 
-    def decode(self, sample: ChannelSample) -> np.ndarray:
-        llr = self._llr(sample.y[None, :], np.array([sample.ebn0_db]))
-        out, _, _ = bp_decode_batch(llr, self.graph, self.cfg)
-        return out[0]
-
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         out, _, _ = bp_decode_batch(self._llr(batch.y, batch.ebn0_db), self.graph, self.cfg)
         return out
@@ -191,10 +180,7 @@ def _decode_chunk(args) -> tuple[int, np.ndarray, int]:
     frame errors)."""
     decoder, code, spec, policy, count, stream = args
     batch = sample_batch(code, spec, count, policy=policy, stream=stream)
-    if hasattr(decoder, "decode_batch"):
-        xhat = decoder.decode_batch(batch)
-    else:
-        xhat = np.stack([decoder.decode(batch.row(b)) for b in range(len(batch))])
+    xhat = decoder.decode_batch(batch)
     errs = (xhat ^ batch.x).astype(np.int64)
     per_bit = errs.sum(axis=0)
     return int(per_bit.sum()), per_bit, int((errs.any(axis=1)).sum())
@@ -275,7 +261,6 @@ def flops_estimate(cfg: ModelConfig, code: Code, decoder_kind: str) -> int:
     weighted sum; softmax costs SOFTMAX_FLOPS_PER_ENTRY per unmasked entry.
     """
     n, k = code.n, code.k
-    m = n - k
     d = cfg.embed_dim
     e = cfg.ffn_expansion
     rows = 2 * n - k

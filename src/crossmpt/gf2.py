@@ -57,9 +57,6 @@ class BinaryMatrix:
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.bits.T)
 
-    def column(self, j: int) -> np.ndarray:
-        return self.bits[:, j]
-
     def is_zero(self) -> bool:
         return not self.bits.any()
 
@@ -93,14 +90,6 @@ def gf2_matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
         raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
     prod = (a.bits.astype(np.int64) @ b.bits.astype(np.int64)) & 1
     return BinaryMatrix(prod.astype(np.uint8))
-
-
-def gf2_matvec(m: BinaryMatrix, v: np.ndarray) -> np.ndarray:
-    """Mod-2 matrix-vector product; v is a length-cols bit vector."""
-    v = np.asarray(v, dtype=np.uint8)
-    if v.shape != (m.cols,):
-        raise ValueError(f"vector length {v.shape} incompatible with {m.cols} columns")
-    return ((m.bits.astype(np.int64) @ v.astype(np.int64)) & 1).astype(np.uint8)
 
 
 def rref(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:

@@ -19,14 +19,14 @@ Four variants share one layer stack implementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .channel import ChannelSample, BatchSample, hard_decision, stream_rng
+from .channel import BatchSample, hard_decision, stream_rng
 from .codes import Code
 from .gf2 import BinaryMatrix
 from .masks import (
@@ -39,14 +39,12 @@ from .masks import (
 __all__ = [
     "Variant",
     "ModelConfig",
-    "ActivationState",
     "param_shapes",
     "init_params",
     "param_count",
-    "embed",
     "crossmpt_layer",
-    "forward",
-    "ecct_forward",
+    "foundation_logits",
+    "forward_arrays",
     "decide",
     "DecoderModel",
     "freeze",
@@ -86,20 +84,6 @@ class ModelConfig:
     @property
     def code_agnostic(self) -> bool:
         return self.variant in FOUNDATION_VARIANTS
-
-
-@dataclass
-class ActivationState:
-    """Embedding streams after a forward pass plus captured attention maps.
-
-    For self-attention variants the concatenated stream is stored in
-    `magnitude` and `syndrome` is None. attention[layer] maps block name to a
-    (heads, rows, cols) array (an extra leading batch axis in batched runs).
-    """
-
-    magnitude: np.ndarray
-    syndrome: np.ndarray | None
-    attention: list[dict[str, np.ndarray]] = field(default_factory=list)
 
 
 def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -267,13 +251,6 @@ def _embed_tensors(
     return ad.mul(mag_col, w_mag), ad.mul(syn_col, w_syn)
 
 
-def embed(sample: ChannelSample, params: dict[str, Tensor], cfg: ModelConfig) -> ActivationState:
-    """Initial magnitude/syndrome embeddings for one sample."""
-    n = sample.mag.shape[-1]
-    m_t, s_t = _embed_tensors(params, cfg, n, sample.mag, sample.syndromes[0])
-    return ActivationState(magnitude=m_t.data, syndrome=s_t.data)
-
-
 def crossmpt_layer(
     m_t: Tensor,
     s_t: Tensor,
@@ -387,41 +364,22 @@ def forward_arrays(
     return _head_code_specific(params, x)
 
 
-def forward(
-    sample: ChannelSample,
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    code: Code,
-    capture: list | None = None,
-) -> np.ndarray:
-    """Length-n logit vector estimating the binarized multiplicative noise."""
-    t = forward_arrays(params, cfg, code.pcm, sample.mag, sample.syndromes[0], capture=capture)
-    return t.data
-
-
-def ecct_forward(
-    sample: ChannelSample,
-    params: dict[str, Tensor],
-    cfg: ModelConfig,
-    code: Code,
-    capture: list | None = None,
-) -> np.ndarray:
-    if cfg.variant not in (Variant.ECCT, Variant.ECCT_FULLY_MASKED):
-        raise ValueError("ecct_forward requires a self-attention variant")
-    return forward(sample, params, cfg, code, capture=capture)
-
-
 def decide(y: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Final hard decision, bin(sign(y * noise_estimate)).
 
     The logit is the multiplicative-noise estimate: the training loss drives
     it positive where no sign flip happened (target 0) and negative where one
     did, so the hard decision flips exactly where the logit is negative.
+    Raises FloatingPointError on non-finite logits, which would otherwise
+    read as "no flip" and score a diverged decoder as the hard decision.
     """
     y = np.asarray(y)
     logits = np.asarray(logits)
     if y.shape != logits.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {logits.shape}")
+    if not np.isfinite(logits).all():
+        bad = int((~np.isfinite(logits)).sum())
+        raise FloatingPointError(f"{bad} of {logits.size} logits are not finite")
     return (hard_decision(y) ^ (logits < 0)).astype(np.uint8)
 
 
@@ -452,10 +410,6 @@ class DecoderModel:
         return forward_arrays(
             self.params, self.cfg, self.code.pcm, mag, syn, masks=self.masks, capture=capture
         )
-
-    def decode(self, sample: ChannelSample) -> np.ndarray:
-        logits = self.logits_batch(sample.mag[None, :], sample.syndromes[0][None, :])
-        return decide(sample.y, logits.data[0])
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         logits = self.logits_batch(batch.mag, batch.syndromes[0])

@@ -184,8 +184,9 @@ def train(
 
     Data and code selection are pure functions of (seed, epoch, batch), so a
     run interrupted at any epoch boundary and resumed from its checkpoint
-    reproduces the uninterrupted trajectory bitwise. Raises NumericFailure if
-    the loss leaves the finite range.
+    reproduces the uninterrupted trajectory bitwise. Raises NumericFailure at
+    the step where the loss or the pre-clip gradient norm leaves the finite
+    range.
     """
     started = time.perf_counter()
     codes = [get_code(name) for name in cfg.codes]
@@ -273,7 +274,12 @@ def train(
                     f"(code {lane.name}, lr {lr:.3e})"
                 )
             loss_t.backward()
-            clip_global_norm(params, cfg.clip_norm)
+            grad_norm = clip_global_norm(params, cfg.clip_norm)
+            if not np.isfinite(grad_norm):
+                raise NumericFailure(
+                    f"non-finite gradient norm {grad_norm} at epoch {epoch} batch {b} "
+                    f"(code {lane.name}, lr {lr:.3e}, loss {value:.6g})"
+                )
             adam_step(params, adam, lr)
             batch_losses.append(value)
         report.epoch_losses.append(float(np.mean(batch_losses)))

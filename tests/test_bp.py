@@ -18,12 +18,10 @@ class TestTannerGraph:
         assert hamming_graph.n_edges == get_code("hamming_7_4").pcm.popcount()
 
     def test_bipartite_consistency(self, hamming_graph):
-        for c, vs in enumerate(hamming_graph.check_neighbors):
-            for v in vs:
-                assert c in hamming_graph.var_neighbors[v]
-        for v, cs in enumerate(hamming_graph.var_neighbors):
-            for c in cs:
-                assert v in hamming_graph.check_neighbors[c]
+        # every edge appears once and the edge tables rebuild H exactly
+        rebuilt = np.zeros(hamming_graph.h.shape, dtype=np.int64)
+        np.add.at(rebuilt, (hamming_graph.check_of_edge, hamming_graph.var_of_edge), 1)
+        assert np.array_equal(rebuilt, hamming_graph.h.bits)
 
 
 class TestBpDecode:

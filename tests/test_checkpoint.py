@@ -1,3 +1,6 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from crossmpt.checkpoint import (
 )
 from crossmpt.codes import get_code
 from crossmpt.ensemble import build_ensemble
+from crossmpt.gf2 import BinaryMatrix, rank
 from crossmpt.models import ModelConfig, Variant, init_params
 from crossmpt.optim import AdamState
 
@@ -76,3 +80,65 @@ def test_rejects_future_version(tmp_path):
     np.savez(path, **data)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def _rewrite_arrays(path, **changes):
+    data = dict(np.load(path, allow_pickle=False))
+    data.update(changes)
+    np.savez(path, **data)
+
+
+def test_rejects_registry_code_whose_stored_pcm_differs(tmp_path):
+    code = get_code("hamming_7_4")
+    cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+    path = save_checkpoint(
+        tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code],
+        params=init_params(cfg, code, seed=1), seed=1, step=0, epoch=0,
+    )
+    # a column permutation keeps the PCM full-rank but changes the code
+    other = code.pcm.bits[:, ::-1]
+    assert rank(BinaryMatrix(other)) == code.n - code.k and not np.array_equal(other, code.pcm.bits)
+    _rewrite_arrays(path, **{"code_pcm:hamming_7_4": other})
+    with pytest.raises(CheckpointError, match="hamming_7_4"):
+        load_checkpoint(path)
+
+
+class _DiskFull:
+    """File proxy whose write stores half the data, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, data):
+        data = bytes(data)
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_leaves_no_file_at_the_target(tmp_path, monkeypatch):
+    code = get_code("hamming_7_4")
+    cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+    real_open = io.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiskFull(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(io, "open", failing_open)
+    target = tmp_path / "ck.npz"
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(
+            target, kind="model", model_cfg=cfg, codes=[code],
+            params=init_params(cfg, code, seed=1), seed=1, step=0, epoch=0,
+        )
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []

@@ -123,6 +123,19 @@ class TestEvalCommand:
         assert result.exit_code == 0, result.output
         assert (out / "ber_report.csv").exists()
 
+    def test_diverged_checkpoint_exits_3(self, runner, tmp_path, tiny_checkpoint):
+        data = dict(np.load(tiny_checkpoint, allow_pickle=False))
+        data["param:head.fc.b"] = np.full_like(data["param:head.fc.b"], np.nan)
+        poisoned = tmp_path / "nan.npz"
+        np.savez(poisoned, **data)
+        result = runner.invoke(main, [
+            "eval", "--code", "bch_15_7", "--checkpoint", str(poisoned), "--ebn0", "4",
+            "--min-errors", "5", "--max-bits", "3000", "--out", str(tmp_path / "nan_eval"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "numeric failure" in result.output
+        assert not (tmp_path / "nan_eval" / "ber_report.csv").exists()
+
     def test_rerun_is_bitwise_identical(self, runner, tmp_path):
         outs = []
         for tag in ("a", "b"):

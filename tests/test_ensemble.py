@@ -138,17 +138,9 @@ class TestCrossedForward:
         with pytest.raises(ValueError, match="branches"):
             model.logits_batch(batch.mag, [batch.syndromes[0]])
 
-    def test_per_layer_fusion_variant_runs(self):
-        code = get_code("bch_15_7")
-        ens = build_ensemble(code, 2, base=base_cfg(), fusion="per_layer")
-        model = CrossEDModel(ens, seed=38)
-        batch = sample_batch(ens.branch_code(), NoiseSpec.for_code(code, 4.0, seed=39), 2)
-        assert model.logits_batch(batch.mag, list(batch.syndromes)).shape == (2, 15)
-
     def test_trained_ensemble_keeps_clean_frames_at_zero_noise(self, tmp_path):
         # all branches see a zero syndrome on a noiseless frame; a (briefly)
         # trained decoder leaves the hard decision alone
-        from crossmpt.channel import sample
         from crossmpt.checkpoint import load_checkpoint
         from crossmpt.training import TrainConfig, train
 
@@ -161,7 +153,7 @@ class TestCrossedForward:
         model = CrossEDModel(ens, params=ck.params, infer_only=True)
         rng = np.random.default_rng(3)
         for t in range(25):
-            smp = sample(ens.branch_code(), NoiseSpec.for_code(code, 60.0, seed=100 + t),
-                         policy="random")
-            assert all(not s.any() for s in smp.syndromes)
-            assert np.array_equal(model.decode(smp), smp.y_b)
+            batch = sample_batch(ens.branch_code(), NoiseSpec.for_code(code, 60.0, seed=100 + t),
+                                 1, policy="random")
+            assert all(not s.any() for s in batch.syndromes)
+            assert np.array_equal(model.decode_batch(batch), batch.y_b)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
-from crossmpt.channel import NoiseSpec, make_invariance_pair, sample
+from crossmpt.channel import NoiseSpec, make_invariance_pair, sample, sample_batch
 from crossmpt.codes import get_code
 from crossmpt.gf2 import BinaryMatrix
 from crossmpt.masks import build_crossmpt_masks
@@ -13,10 +13,10 @@ from crossmpt.models import (
     DecoderModel,
     ModelConfig,
     Variant,
+    _embed_tensors,
     crossmpt_layer,
     decide,
-    embed,
-    forward,
+    forward_arrays,
     init_params,
     param_count,
     param_shapes,
@@ -36,8 +36,8 @@ class TestEmbed:
         spec = NoiseSpec.for_code(code, 4.0, seed=2)
         smp = sample(code, spec)
         smp.mag[3] = 0.0
-        state = embed(smp, params, cfg)
-        assert np.array_equal(state.magnitude[3], np.zeros(8))
+        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        assert np.array_equal(mag_t.data[3], np.zeros(8))
 
     def test_foundation_equal_magnitudes_share_embeddings(self):
         code = get_code("hamming_7_4")
@@ -45,8 +45,8 @@ class TestEmbed:
         params = init_params(cfg, None, seed=1)
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=3))
         smp.mag[0] = smp.mag[5] = 0.77
-        state = embed(smp, params, cfg)
-        assert np.array_equal(state.magnitude[0], state.magnitude[5])
+        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        assert np.array_equal(mag_t.data[0], mag_t.data[5])
 
     def test_positional_embeddings_distinguish_equal_magnitudes(self):
         code = get_code("hamming_7_4")
@@ -54,8 +54,8 @@ class TestEmbed:
         params = init_params(cfg, code, seed=1)
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=3))
         smp.mag[0] = smp.mag[5] = 0.77
-        state = embed(smp, params, cfg)
-        assert not np.array_equal(state.magnitude[0], state.magnitude[5])
+        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        assert not np.array_equal(mag_t.data[0], mag_t.data[5])
 
     def test_zero_syndrome_contribution_is_zero_after_resize(self):
         # 0 * W_S = 0, and H^T @ 0 = 0
@@ -64,9 +64,9 @@ class TestEmbed:
         params = init_params(cfg, None, seed=4)
         smp = sample(code, NoiseSpec.for_code(code, 60.0, seed=5))
         assert not smp.syndromes[0].any()
-        state = embed(smp, params, cfg)
-        assert np.array_equal(state.syndrome, np.zeros((8, cfg.embed_dim)))
-        resized = code.pcm.bits.T.astype(float) @ state.syndrome
+        _, syn_t = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        assert np.array_equal(syn_t.data, np.zeros((8, cfg.embed_dim)))
+        resized = code.pcm.bits.T.astype(float) @ syn_t.data
         assert np.array_equal(resized, np.zeros((15, cfg.embed_dim)))
 
 
@@ -171,7 +171,7 @@ class TestForward:
             cfg = small_cfg(variant)
             params = init_params(cfg, None if cfg.code_agnostic else code, seed=1)
             smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=2))
-            logits = forward(smp, params, cfg, code)
+            logits = forward_arrays(params, cfg, code.pcm, smp.mag, smp.syndromes[0]).data
             assert logits.shape == (code.n,)
 
     def test_variants_differ_but_replay_bitwise(self):
@@ -181,9 +181,9 @@ class TestForward:
         for variant in (Variant.CROSSMPT, Variant.ECCT):
             cfg = small_cfg(variant)
             params = init_params(cfg, code, seed=9)
-            first = forward(smp, params, cfg, code)
+            first = forward_arrays(params, cfg, code.pcm, smp.mag, smp.syndromes[0]).data
             params2 = init_params(cfg, code, seed=9)
-            replay = forward(smp, params2, cfg, code)
+            replay = forward_arrays(params2, cfg, code.pcm, smp.mag, smp.syndromes[0]).data
             assert first.tobytes() == replay.tobytes()
             outs[variant] = first
         assert not np.array_equal(outs[Variant.CROSSMPT], outs[Variant.ECCT])
@@ -201,15 +201,15 @@ class TestForward:
         code = get_code("hamming_7_4")
         cfg = small_cfg(Variant.CROSSMPT, d=8, heads=2)
         model = DecoderModel(cfg, code, seed=5)
-        smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=6))
-        assert model.decode(smp).shape == (7,)
+        batch = sample_batch(code, NoiseSpec.for_code(code, 4.0, seed=6), 1)
+        assert model.decode_batch(batch).shape == (1, 7)
 
     def test_post_norm_order_runs(self):
         code = get_code("hamming_7_4")
         cfg = small_cfg(Variant.CROSSMPT, norm_order="post")
         model = DecoderModel(cfg, code, seed=5)
-        smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=6))
-        assert model.decode(smp).shape == (7,)
+        batch = sample_batch(code, NoiseSpec.for_code(code, 4.0, seed=6), 1)
+        assert model.decode_batch(batch).shape == (1, 7)
 
     def test_codeword_invariant_logits(self):
         code = get_code("bch_15_7")
@@ -337,7 +337,6 @@ class TestFullModelGradients:
         smp = sample(code, NoiseSpec.for_code(code, 3.0, seed=21), policy="random")
 
         def fn(build=False):
-            from crossmpt.models import forward_arrays
             logits = forward_arrays(params, cfg, code.pcm, smp.mag, smp.syndromes[0])
             total = loss(logits, smp.target)
             return total if build else total.item()

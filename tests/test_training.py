@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossmpt import autodiff as ad
-from crossmpt.channel import NoiseSpec, make_invariance_pair, sample
+from crossmpt.channel import NoiseSpec, make_invariance_pair, sample, sample_batch
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.codes import get_code
 from crossmpt.models import DecoderModel, ModelConfig, Variant
@@ -104,6 +104,27 @@ class TestTrainLoop:
         with pytest.raises(NumericFailure, match="epoch 0"):
             train(bad)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_aborts_at_its_own_step(self, monkeypatch):
+        from crossmpt import training
+
+        real_clip = training.clip_global_norm
+        calls = []
+
+        def poisoned_clip(params, max_norm):
+            calls.append(max_norm)
+            if len(calls) == 3:  # epoch 0, batch 2: the loss of this step is finite
+                name = sorted(params)[0]
+                params[name].grad = np.full_like(params[name].grad, np.inf)
+            return real_clip(params, max_norm)
+
+        monkeypatch.setattr(training, "clip_global_norm", poisoned_clip)
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
+                          epochs=1, batches_per_epoch=5, batch_size=8, seed=19)
+        with pytest.raises(NumericFailure,
+                           match=r"gradient norm inf at epoch 0 batch 2 \(code hamming_7_4"):
+            train(cfg)
+
     def test_foundation_multi_code_checkpoint_decodes_both(self, tmp_path):
         # one parameter set trained on two codes must decode both (and an
         # unseen code), with BER below uncoded on the trained ones
@@ -122,8 +143,8 @@ class TestTrainLoop:
             assert row.ber < uncoded_bpsk_ber(6.0, code.rate), name
         unseen = get_code("hamming_7_4")
         model = DecoderModel(ck.model_cfg, unseen, params=ck.params, infer_only=True)
-        smp = sample(unseen, NoiseSpec.for_code(unseen, 5.0, seed=6), policy="random")
-        assert model.decode(smp).shape == (unseen.n,)
+        batch = sample_batch(unseen, NoiseSpec.for_code(unseen, 5.0, seed=6), 1, policy="random")
+        assert model.decode_batch(batch).shape == (1, unseen.n)
 
     def test_float32_training_mode(self, tmp_path):
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
