@@ -176,21 +176,31 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
 
 
 def _decoder_from_checkpoint(path: str, code):
+    """A decoder for `code` from a checkpoint. A stored code matches `code`
+    only when both the name and the PCM are equal; a `--pcm-file` code whose
+    file stem names a stored code but whose PCM differs is an unseen code."""
     ck = load_checkpoint(path)
     cfg = ck.model_cfg
+    trained = ck.codes.get(code.name)
+    same_pcm = trained is not None and trained.pcm == code.pcm
     if ck.kind == "ensemble":
         p = int(ck.header["extra"].get("p", len(ck.branch_pcms)))
-        stored = list(ck.codes)
-        if code.name in stored and ck.branch_pcms and len(stored) == 1:
+        if same_pcm and ck.branch_pcms and len(ck.codes) == 1:
             ens = EnsembleConfig(code=code, base=cfg, pcms=tuple(ck.branch_pcms))
         else:
             ens = build_ensemble(code, p, base=cfg)
         return CrossEDModel(ens, params=ck.params, infer_only=True)
-    if not cfg.code_agnostic and code.name not in ck.codes:
-        raise click.UsageError(
-            f"checkpoint was trained on {sorted(ck.codes)} with code-specific shapes; "
-            f"cannot decode {code.name}"
-        )
+    if not cfg.code_agnostic:
+        if trained is None:
+            raise click.UsageError(
+                f"checkpoint was trained on {sorted(ck.codes)} with code-specific shapes; "
+                f"cannot decode {code.name}"
+            )
+        if not same_pcm:
+            raise click.UsageError(
+                f"the PCM given for {code.name} differs from the {code.name} PCM the "
+                "code-specific checkpoint was trained on; cannot decode it"
+            )
     return DecoderModel(cfg, code, params=ck.params, infer_only=True)
 
 

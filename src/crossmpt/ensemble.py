@@ -9,6 +9,7 @@ Non-cyclic codes fall back to best-effort diagonalization at each window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .autodiff import Tensor
 from .channel import BatchSample
 from .codes import Code
 from .gf2 import BinaryMatrix, complementary_pcm, diagonalize_at, systematic_form
-from .masks import build_crossmpt_masks
+from .masks import MaskMatrix, build_crossmpt_masks
 from .models import DecoderModel, ModelConfig, Variant, decide, foundation_logits
 
 __all__ = ["EnsembleConfig", "build_ensemble", "coverage_report", "crossed_forward", "CrossEDModel"]
@@ -39,6 +40,11 @@ class EnsembleConfig:
     @property
     def p(self) -> int:
         return len(self.pcms)
+
+    @cached_property
+    def branch_masks(self) -> tuple[tuple[MaskMatrix, MaskMatrix], ...]:
+        """The cross-attention masks of every branch PCM, built once per config."""
+        return tuple(build_crossmpt_masks(h) for h in self.pcms)
 
     def branch_code(self) -> Code:
         """The code with its PCM list replaced by the branch PCMs, so channel
@@ -100,8 +106,7 @@ def crossed_forward(
     """
     if len(syndromes) != ens.p:
         raise ValueError(f"got {len(syndromes)} syndromes for {ens.p} branches")
-    branch_masks = [build_crossmpt_masks(h) for h in ens.pcms]
-    return foundation_logits(params, ens.base, branch_masks, mag, list(syndromes), capture)
+    return foundation_logits(params, ens.base, ens.branch_masks, mag, list(syndromes), capture)
 
 
 class CrossEDModel(DecoderModel):

@@ -19,6 +19,7 @@ Four variants share one layer stack implementation:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,26 +204,34 @@ def _attention(
     return outs[0] if cfg.heads == 1 else ad.concat(outs, axis=-1)
 
 
+def _attn_input(x: Tensor, lp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """What a block's attention reads of x: LN_attn(x) pre-norm, x post-norm."""
+    if cfg.norm_order == "pre":
+        return ad.layer_norm(x, lp["attn_norm.gain"], lp["attn_norm.bias"])
+    return x
+
+
 def _block(
     x_q: Tensor,
-    x_kv: Tensor,
+    q_in: Tensor,
+    kv_in: Tensor,
     lp: dict[str, Tensor],
     mask: MaskMatrix,
     cfg: ModelConfig,
     capture: list | None,
 ) -> Tensor:
-    """One attention + feed-forward block with residuals; cross-attention when
-    x_kv is not x_q, self-attention otherwise."""
+    """One attention + feed-forward block with residuals on x_q. q_in and
+    kv_in are `_attn_input` of the query and key/value streams, computed by
+    the caller so that a layer whose blocks share a stream normalizes it once;
+    cross-attention when they differ, self-attention otherwise."""
+    attn = _attention(q_in, kv_in, lp, mask, cfg, capture)
     if cfg.norm_order == "pre":
-        q_in = ad.layer_norm(x_q, lp["attn_norm.gain"], lp["attn_norm.bias"])
-        kv_in = q_in if x_kv is x_q else ad.layer_norm(x_kv, lp["attn_norm.gain"], lp["attn_norm.bias"])
-        x = ad.add(x_q, _attention(q_in, kv_in, lp, mask, cfg, capture))
+        x = ad.add(x_q, attn)
         h = ad.ffn(
             ad.layer_norm(x, lp["ffn_norm.gain"], lp["ffn_norm.bias"]),
             lp["ffn.w1"], lp["ffn.b1"], lp["ffn.w2"], lp["ffn.b2"],
         )
         return ad.add(x, h)
-    attn = _attention(x_q, x_kv, lp, mask, cfg, capture)
     x = ad.layer_norm(ad.add(x_q, attn), lp["attn_norm.gain"], lp["attn_norm.bias"])
     h = ad.ffn(x, lp["ffn.w1"], lp["ffn.b1"], lp["ffn.w2"], lp["ffn.b2"])
     return ad.layer_norm(ad.add(x, h), lp["ffn_norm.gain"], lp["ffn_norm.bias"])
@@ -260,12 +269,14 @@ def crossmpt_layer(
     capture: list | None = None,
 ) -> tuple[Tensor, Tensor]:
     """One decoding layer: update magnitude from syndrome, then syndrome from
-    the updated magnitude. Both blocks share lp."""
+    the updated magnitude. Both blocks share lp, so s_t's attention input is
+    computed once: block 1 reads it as keys/values, block 2 as queries."""
     mask_ht, mask_h = masks
     cap1 = [] if capture is not None else None
     cap2 = [] if capture is not None else None
-    m_new = _block(m_t, s_t, lp, mask_ht, cfg, cap1)
-    s_new = _block(s_t, m_new, lp, mask_h, cfg, cap2)
+    s_in = _attn_input(s_t, lp, cfg)
+    m_new = _block(m_t, _attn_input(m_t, lp, cfg), s_in, lp, mask_ht, cfg, cap1)
+    s_new = _block(s_t, s_in, _attn_input(m_new, lp, cfg), lp, mask_h, cfg, cap2)
     if capture is not None:
         capture.append({"mag_to_syn": cap1[0], "syn_to_mag": cap2[0]})
     return m_new, s_new
@@ -306,7 +317,7 @@ def _foundation_tower(
 def foundation_logits(
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    branch_masks: list[tuple[MaskMatrix, MaskMatrix]],
+    branch_masks: Sequence[tuple[MaskMatrix, MaskMatrix]],
     mag: np.ndarray,
     syndromes: list[np.ndarray],
     capture: list | None = None,
@@ -358,7 +369,9 @@ def forward_arrays(
     x = ad.concat([m_t, s_t], axis=-2)
     for i in range(cfg.n_layers):
         cap = [] if capture is not None else None
-        x = _block(x, x, _layer_params(params, i), masks[0], cfg, cap)
+        lp = _layer_params(params, i)
+        x_in = _attn_input(x, lp, cfg)
+        x = _block(x, x_in, x_in, lp, masks[0], cfg, cap)
         if capture is not None:
             capture.append({"self": cap[0]})
     return _head_code_specific(params, x)

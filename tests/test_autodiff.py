@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
@@ -270,3 +271,168 @@ class TestBackwardContract:
         x = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError):
             ad.mul(x, x).backward()
+
+
+# Reference formulas: the straightforward per-axis versions of the primitives
+# that autodiff computes with fused, in-place or one-GEMM arithmetic. The
+# rewrites sum in another order, so float64 results must agree to rtol 1e-12,
+# float32 to a tolerance set from its epsilon. Entries that cancel to near
+# zero get an atol of the same relative size, taken of the largest term that
+# was summed: the largest entry, or for the layer-norm input gradient, whose
+# terms cancel exactly when d=2, the largest inv * g * gain.
+_TOL = {np.float64: (1e-12, 1e-12), np.float32: (2e-4, 2e-5)}
+
+
+def ref_unbroadcast(grad, shape):
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def ref_layer_norm(x, gain, bias, g, eps=1e-5):
+    """Output, (dx, dgain, dbias) and the largest term of dx, of layer norm
+    with means by `mean(axis=-1)`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    grads = (
+        inv * (gx - m1 - xhat * m2),
+        ref_unbroadcast(g * xhat, gain.shape),
+        ref_unbroadcast(g, bias.shape),
+    )
+    return gain * xhat + bias, grads, float(np.abs(inv * gx).max())
+
+
+def ref_gelu(x, g):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return x * cdf, g * (cdf + x * pdf)
+
+
+def ref_matmul_grads(a, b, g):
+    return (
+        ref_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+        ref_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape),
+    )
+
+
+def assert_matches(got, ref, dtype, scale=None):
+    rtol, atol = _TOL[dtype]
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    if scale is None:
+        scale = float(np.abs(ref).max()) if ref.size else 0.0
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol * scale)
+
+
+lead_axes = st.lists(st.integers(1, 5), min_size=0, max_size=2).map(tuple)
+dtypes = st.sampled_from([np.float64, np.float32])
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestReferenceFormulas:
+    @given(lead=lead_axes, d=st.integers(1, 64), dtype=dtypes, seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_layer_norm_matches_reference(self, lead, d, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = (3.0 * rng.standard_normal(lead + (d,)) + rng.standard_normal()).astype(dtype)
+        gain = (1.0 + rng.standard_normal(d)).astype(dtype)
+        bias = rng.standard_normal(d).astype(dtype)
+        g = rng.standard_normal(lead + (d,)).astype(dtype)
+        ref_out, (ref_x, ref_gain, ref_bias), x_terms = ref_layer_norm(x, gain, bias, g)
+        tx, tg, tb = ad.parameter(x, dtype), ad.parameter(gain, dtype), ad.parameter(bias, dtype)
+        out = ad.layer_norm(tx, tg, tb)
+        out.backward(g)
+        assert_matches(out.data, ref_out, dtype)
+        assert_matches(tx.grad, ref_x, dtype, scale=x_terms)
+        assert_matches(tg.grad, ref_gain, dtype)
+        assert_matches(tb.grad, ref_bias, dtype)
+
+    @given(lead=lead_axes, d=st.integers(1, 64), dtype=dtypes, seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_gelu_matches_reference(self, lead, d, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = (3.0 * rng.standard_normal(lead + (d,))).astype(dtype)
+        t = ad.parameter(x, dtype)
+        out = ad.gelu(t)
+        g = rng.standard_normal(out.shape).astype(out.dtype)
+        ref_out, ref_grad = ref_gelu(x, g)
+        out.backward(g)
+        assert_matches(out.data, ref_out, dtype)
+        assert_matches(t.grad, ref_grad, dtype)
+
+    @given(
+        lead=lead_axes, m=st.integers(1, 9), k=st.integers(1, 64), n=st.integers(1, 64),
+        batched_b=st.booleans(), dtype=dtypes, seed=seeds,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_gradients_match_reference(self, lead, m, k, n, batched_b, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(lead + (m, k)).astype(dtype)
+        b = rng.standard_normal((lead if batched_b else ()) + (k, n)).astype(dtype)
+        ta, tb = ad.parameter(a, dtype), ad.parameter(b, dtype)
+        out = ad.matmul(ta, tb)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        out.backward(g)
+        ref_a, ref_b = ref_matmul_grads(a, b, g)
+        assert_matches(ta.grad, ref_a, dtype)
+        assert_matches(tb.grad, ref_b, dtype)
+
+    @given(
+        lead=lead_axes, d=st.integers(1, 64), target=st.sampled_from(["vector", "row", "one", "same"]),
+        dtype=dtypes, seed=seeds,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unbroadcast_matches_reference(self, lead, d, target, dtype, seed):
+        rng = np.random.default_rng(seed)
+        grad = rng.standard_normal(lead + (3, d)).astype(dtype)
+        shape = {"vector": (d,), "row": (1, d), "one": (1,), "same": grad.shape}[target]
+        got = ad._unbroadcast(grad, shape)
+        assert_matches(got, ref_unbroadcast(grad, shape), dtype)
+        assert (got is grad) == (shape == grad.shape)
+
+
+class TestGradientOwnership:
+    def test_add_hands_each_operand_its_own_gradient(self):
+        p = ad.parameter(np.ones((3, 4)))
+        q = ad.parameter(np.ones((3, 4)))
+        ad.reduce_sum(ad.add(p, q)).backward()
+        assert p.grad is not q.grad
+        p.grad[0, 0] = 7.0
+        assert np.array_equal(q.grad, np.ones((3, 4)))
+
+    def test_no_two_tensors_share_gradient_memory(self):
+        rng = np.random.default_rng(11)
+        x = ad.parameter(rand(rng, 2, 3, 4))
+        w = ad.parameter(rand(rng, 4, 4))
+        b = ad.parameter(rand(rng, 4))
+        h = ad.add(ad.matmul(x, w), b)
+        u = ad.concat([h, ad.narrow(x, 1, 3, axis=-1)], axis=-1)
+        v = ad.reshape(ad.transpose(u), (2, 18))
+        out = ad.reduce_sum(ad.mul(ad.gelu(v), ad.neg(v)))
+        out.backward()
+        nodes, stack = [], [out]
+        while stack:
+            node = stack.pop()
+            if all(node is not seen for seen in nodes):
+                nodes.append(node)
+                stack.extend(node._parents)
+        grads = [n.grad for n in nodes if n.grad is not None]
+        assert len(grads) >= 8
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+
+    def test_full_axis_narrow_records_no_node(self):
+        x = ad.parameter(np.arange(6.0).reshape(2, 3))
+        assert ad.narrow(x, 0, 3, axis=-1) is x
+        assert ad.narrow(x, 0, 2, axis=0) is x
+        assert ad.narrow(x, 0, 2, axis=-1) is not x

@@ -109,6 +109,31 @@ class TestBpDecode:
             assert np.array_equal(o, outs[b])
             assert i == iters[b] and c == conv[b]
 
+    @given(
+        name=st.sampled_from(["hamming_7_4", "bch_15_7", "ldpc_32_16", "ldpc_49_24"]),
+        algorithm=st.sampled_from(["sum_product", "min_sum"]),
+        early_stop=st.booleans(),
+        max_iters=st.integers(1, 12),
+        rows=st.integers(1, 12),
+        scale=st.floats(0.5, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_batch_row_equals_its_single_decode(
+        self, name, algorithm, early_stop, max_iters, rows, scale, seed
+    ):
+        # random LLR rows around the all-zero codeword, a mix of frames that
+        # converge early, late and never
+        graph = TannerGraph(get_code(name).pcm)
+        rng = np.random.default_rng(seed)
+        llr = scale + scale * rng.standard_normal((rows, graph.n))
+        cfg = BpConfig(max_iters=max_iters, algorithm=algorithm, early_stop=early_stop)
+        outs, iters, conv = bp_decode_batch(llr, graph, cfg)
+        for b in range(rows):
+            o, i, c = bp_decode(llr[b], graph, cfg)
+            assert np.array_equal(o, outs[b])
+            assert (i, c) == (iters[b], conv[b])
+
     def test_nonconvergence_is_flag_not_error(self, hamming_graph):
         llr = np.array([0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1])
         out, iters, conv = bp_decode(llr, hamming_graph, BpConfig(max_iters=1))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from crossmpt.cli import main
-from crossmpt.codes import dense_text_dumps, get_code
+from crossmpt.checkpoint import load_checkpoint
+from crossmpt.cli import _decoder_from_checkpoint, main
+from crossmpt.codes import dense_text_dumps, get_code, load_code
+from crossmpt.ensemble import build_ensemble
 from crossmpt.gf2 import BinaryMatrix
 
 
@@ -16,6 +18,17 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+
+
+def same_and_reversed_pcm_files(tmp_path, name):
+    """`<name>.txt` files holding the registry PCM and its column reversal."""
+    pcm = get_code(name).pcm
+    paths = {}
+    for tag, bits in (("same", pcm.bits), ("rev", pcm.bits[:, ::-1])):
+        paths[tag] = tmp_path / tag / f"{name}.txt"
+        paths[tag].parent.mkdir()
+        paths[tag].write_text(dense_text_dumps(BinaryMatrix(bits)))
+    return paths
 
 
 class TestCodesCommands:
@@ -167,6 +180,45 @@ class TestEvalCommand:
         ])
         assert result.exit_code == 2
         assert "code-specific" in result.output
+
+    def test_code_specific_checkpoint_refuses_pcm_file_with_other_matrix(self, runner, tmp_path):
+        train_out = tmp_path / "t"
+        invoke(
+            runner, "train", "--code", "hamming_7_4", "--variant", "crossmpt",
+            "--n-layers", 1, "--dim", 8, "--epochs", 1, "--batches-per-epoch", 3,
+            "--batch-size", 8, "--out", train_out,
+        )
+        files = same_and_reversed_pcm_files(tmp_path, "hamming_7_4")
+
+        def run(tag):
+            return runner.invoke(main, [
+                "eval", "--pcm-file", str(files[tag]), "--checkpoint",
+                str(train_out / "checkpoint_final.npz"), "--ebn0", "4",
+                "--min-errors", "2", "--max-bits", "1000", "--out", str(tmp_path / f"eval_{tag}"),
+            ])
+
+        assert run("same").exit_code == 0
+        result = run("rev")
+        assert result.exit_code == 2, result.output
+        assert "hamming_7_4" in result.output
+        assert not (tmp_path / "eval_rev" / "ber_report.csv").exists()
+
+    def test_ensemble_reuses_stored_branches_only_for_the_same_pcm(self, runner, tmp_path):
+        train_out = tmp_path / "t"
+        result = invoke(
+            runner, "train", "--code", "hamming_7_4", "--variant", "crossed", "--p", 2,
+            "--n-layers", 1, "--dim", 8, "--epochs", 1, "--batches-per-epoch", 2,
+            "--batch-size", 8, "--out", train_out,
+        )
+        assert result.exit_code == 0, result.output
+        path = str(train_out / "checkpoint_final.npz")
+        ck = load_checkpoint(path)
+        codes = {tag: load_code(f) for tag, f in same_and_reversed_pcm_files(tmp_path, "hamming_7_4").items()}
+
+        assert _decoder_from_checkpoint(path, codes["same"]).ens.pcms == tuple(ck.branch_pcms)
+        rebuilt = _decoder_from_checkpoint(path, codes["rev"]).ens.pcms
+        assert rebuilt != tuple(ck.branch_pcms)
+        assert rebuilt == build_ensemble(codes["rev"], 2, base=ck.model_cfg).pcms
 
 
 class TestAnalyzeCommand:

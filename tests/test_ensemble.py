@@ -138,6 +138,27 @@ class TestCrossedForward:
         with pytest.raises(ValueError, match="branches"):
             model.logits_batch(batch.mag, [batch.syndromes[0]])
 
+    def test_branch_masks_are_built_once_per_config(self, monkeypatch):
+        from crossmpt import ensemble
+
+        calls = []
+        build = ensemble.build_crossmpt_masks
+
+        def counted(h):
+            calls.append(h)
+            return build(h)
+
+        monkeypatch.setattr(ensemble, "build_crossmpt_masks", counted)
+        code = get_code("bch_31_21")
+        ens = build_ensemble(code, 3, base=base_cfg())
+        model = CrossEDModel(ens, seed=38)
+        batch = sample_batch(ens.branch_code(), NoiseSpec.for_code(code, 4.0, seed=39), 2)
+        for _ in range(4):
+            model.logits_batch(batch.mag, list(batch.syndromes))
+        assert calls == list(ens.pcms)
+        for masks, h in zip(ens.branch_masks, ens.pcms):
+            assert [m.support.tolist() for m in masks] == [m.support.tolist() for m in build(h)]
+
     def test_trained_ensemble_keeps_clean_frames_at_zero_noise(self, tmp_path):
         # all branches see a zero syndrome on a noiseless frame; a (briefly)
         # trained decoder leaves the hard decision alone
