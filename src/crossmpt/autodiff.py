@@ -7,13 +7,8 @@ reduction. Arrays are float64 by default; float32 is accepted for training
 runs. Graphs are built per forward pass; backward() walks the recorded
 applications exactly once and refuses to run twice on the same record.
 
-Gradient ownership: a backward closure never mutates its incoming gradient or
-any array it did not allocate itself; it may work in place on temporaries it
-allocated. A tensor keeps its first gradient without a copy only when the
-closure allocated that array for this one receiver (`owned=True`); an array
-handed to two receivers, or a view of the upstream gradient, is copied.
-Accumulation is out of place, so a stored `.grad` is never written to by the
-engine and never shared between two tensors.
+A backward closure never mutates its incoming gradient or any array it did
+not allocate itself; it may work in place on temporaries it allocated.
 """
 
 from __future__ import annotations
@@ -78,11 +73,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add g to this tensor's gradient. `owned` says the caller allocated g
-        for this receiver alone, so a first gradient is kept without a copy."""
+    def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g if owned else g.copy()
+            self.grad = g.copy()
         else:
             self.grad = self.grad + g
 
@@ -161,28 +154,18 @@ def _tracked(*tensors: Tensor) -> bool:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` after numpy broadcasting.
-
-    Returns `grad` itself when nothing is summed, a new array otherwise. All
-    leading axes are summed in one call: for a 1-D target as a vector-matrix
-    product with ones, which is several times faster than `sum(axis=0)` per
-    axis at the model's shapes.
-    """
-    lead = grad.ndim - len(shape)
-    if lead > 0 and len(shape) == 1 and grad.shape[-1] == shape[0]:
-        rows = grad.reshape(-1, shape[0])
-        return np.ones(rows.shape[0], dtype=grad.dtype) @ rows
-    if lead > 0:
-        grad = grad.sum(axis=tuple(range(lead)))
-    kept = tuple(axis for axis, size in enumerate(shape) if size == 1 and grad.shape[axis] != 1)
-    if kept:
-        grad = grad.sum(axis=kept, keepdims=True)
+    """Sum a gradient down to `shape` after numpy broadcasting."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, keepdims: one matrix-vector product against a
-    1/d vector of x's dtype, several times faster than `mean(axis=-1)` at d=32."""
+    """Mean over the last axis, keepdims, as one matrix-vector product against
+    a 1/d vector of x's dtype."""
     d = x.shape[-1]
     rows = x.reshape(-1, d) @ np.full(d, 1.0 / d, dtype=x.dtype)
     return rows.reshape(x.shape[:-1] + (1,))
@@ -212,14 +195,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
             else:
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            a._accumulate(ga, owned=True)
+            a._accumulate(ga)
         if b.requires_grad or b._parents:
             if flat:
                 k = a.data.shape[-1]
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            b._accumulate(gb, owned=True)
+            b._accumulate(gb)
 
     return _result(out_data, (a, b), backward)
 
@@ -239,11 +222,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad or a._parents:
-            ga = _unbroadcast(g, a.data.shape)
-            a._accumulate(ga, owned=ga is not g)
+            a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad or b._parents:
-            gb = _unbroadcast(g, b.data.shape)
-            b._accumulate(gb, owned=gb is not g)
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _result(out_data, (a, b), backward)
 
@@ -253,16 +234,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _result(out_data, (a, b), backward)
 
 
 def neg(t: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
-        t._accumulate(-g, owned=True)
+        t._accumulate(-g)
 
     return _result(-t.data, (t,), backward)
 
@@ -271,7 +252,7 @@ def scale(t: Tensor, factor: float) -> Tensor:
     factor = float(factor)
 
     def backward(g: np.ndarray) -> None:
-        t._accumulate(g * factor, owned=True)
+        t._accumulate(g * factor)
 
     return _result(t.data * factor, (t,), backward)
 
@@ -304,7 +285,7 @@ def narrow(t: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
     def backward(g: np.ndarray) -> None:
         full = np.zeros_like(t.data)
         full[idx] = g
-        t._accumulate(full, owned=True)
+        t._accumulate(full)
 
     return _result(t.data[idx], (t,), backward)
 
@@ -319,7 +300,7 @@ def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
 def reduce_sum(t: Tensor) -> Tensor:
     """Sum of all entries (scalar output)."""
     def backward(g: np.ndarray) -> None:
-        t._accumulate(np.broadcast_to(g, t.data.shape).astype(t.data.dtype), owned=True)
+        t._accumulate(np.broadcast_to(g, t.data.shape).astype(t.data.dtype))
 
     return _result(t.data.sum(), (t,), backward)
 
@@ -344,7 +325,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         inner = (g * w).sum(axis=-1, keepdims=True)
         gl = g - inner
         gl *= w
-        logits._accumulate(gl, owned=True)
+        logits._accumulate(gl)
 
     return _result(w, (logits,), backward)
 
@@ -367,11 +348,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(g: np.ndarray) -> None:
         gxh = g * xhat
         if gain.requires_grad or gain._parents:
-            gg = _unbroadcast(gxh, gain.data.shape)
-            gain._accumulate(gg, owned=gg is not gxh)
+            gain._accumulate(_unbroadcast(gxh, gain.data.shape))
         if bias.requires_grad or bias._parents:
-            gb = _unbroadcast(g, bias.data.shape)
-            bias._accumulate(gb, owned=gb is not g)
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad or x._parents:
             # row means of g*gain and g*gain*xhat, as products with gain/d
             w = gain.data / d
@@ -381,7 +360,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx -= m1
             gx -= np.multiply(xhat, m2, out=gxh)
             gx *= inv
-            x._accumulate(gx, owned=True)
+            x._accumulate(gx)
 
     return _result(out_data, (x, gain, bias), backward)
 
@@ -403,7 +382,7 @@ def gelu(t: Tensor) -> Tensor:
         gx *= x
         gx += cdf
         gx *= g
-        t._accumulate(gx, owned=True)
+        t._accumulate(gx)
 
     return _result(out_data, (t,), backward)
 
@@ -416,7 +395,7 @@ def softplus(t: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
                        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
-        t._accumulate(g * sig, owned=True)
+        t._accumulate(g * sig)
 
     return _result(out_data, (t,), backward)
 

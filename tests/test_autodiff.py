@@ -386,21 +386,8 @@ class TestReferenceFormulas:
         assert_matches(ta.grad, ref_a, dtype)
         assert_matches(tb.grad, ref_b, dtype)
 
-    @given(
-        lead=lead_axes, d=st.integers(1, 64), target=st.sampled_from(["vector", "row", "one", "same"]),
-        dtype=dtypes, seed=seeds,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_unbroadcast_matches_reference(self, lead, d, target, dtype, seed):
-        rng = np.random.default_rng(seed)
-        grad = rng.standard_normal(lead + (3, d)).astype(dtype)
-        shape = {"vector": (d,), "row": (1, d), "one": (1,), "same": grad.shape}[target]
-        got = ad._unbroadcast(grad, shape)
-        assert_matches(got, ref_unbroadcast(grad, shape), dtype)
-        assert (got is grad) == (shape == grad.shape)
 
-
-class TestGradientOwnership:
+class TestGradientAliasing:
     def test_add_hands_each_operand_its_own_gradient(self):
         p = ad.parameter(np.ones((3, 4)))
         q = ad.parameter(np.ones((3, 4)))

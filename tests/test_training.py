@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -124,6 +125,35 @@ class TestTrainLoop:
         with pytest.raises(NumericFailure,
                            match=r"gradient norm inf at epoch 0 batch 2 \(code hamming_7_4"):
             train(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_steps_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, tmp_path):
+        from crossmpt import training
+
+        calls = training._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, put = calls
+        seen = []
+        real_sample = training.sample_batch
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(training, "sample_batch", spy)
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
+                          epochs=1, batches_per_epoch=2, batch_size=8, seed=23)
+        before = get()
+        put(2)
+        try:
+            train(cfg, out_dir=tmp_path)
+            assert seen == [1, 1] and get() == 2
+            with pytest.raises(NumericFailure):
+                train(replace(cfg, lr0=1e200, lr_min=1e198, clip_norm=1e300, batches_per_epoch=50))
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_foundation_multi_code_checkpoint_decodes_both(self, tmp_path):
         # one parameter set trained on two codes must decode both (and an
