@@ -313,7 +313,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     fully-masked row.
     """
     additive = getattr(mask, "additive", mask)
-    w = logits.data + additive
+    w = np.add(logits.data, additive, dtype=logits.data.dtype)  # 0 and -inf cast exactly
     zmax = np.max(w, axis=-1, keepdims=True)
     if np.isneginf(zmax).any():
         raise ValueError("masked_softmax: a row is fully masked")
@@ -367,9 +367,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def gelu(t: Tensor) -> Tensor:
     """Exact (erf-based) GELU. scipy's float64 `erf` is the floor of its cost;
-    the rest of the arithmetic runs in place on arrays allocated here."""
+    the rest of the arithmetic runs in place on arrays allocated here. The
+    constants take x's dtype, so float32 stays float32."""
     x = t.data
-    cdf = erf(x * _INV_SQRT2)
+    cdf = erf(x * x.dtype.type(_INV_SQRT2))
     cdf += 1.0
     cdf *= 0.5
     out_data = x * cdf
@@ -378,7 +379,7 @@ def gelu(t: Tensor) -> Tensor:
         gx = np.square(x, dtype=cdf.dtype)
         gx *= -0.5
         np.exp(gx, out=gx)
-        gx *= _INV_SQRT2PI
+        gx *= x.dtype.type(_INV_SQRT2PI)
         gx *= x
         gx += cdf
         gx *= g

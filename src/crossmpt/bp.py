@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, mod2_product
 
 __all__ = ["TannerGraph", "BpConfig", "bp_decode", "bp_decode_batch"]
 
@@ -32,29 +32,34 @@ class TannerGraph:
         self.n_edges = len(checks)
         if self.n_edges != h.popcount():
             raise AssertionError("edge count mismatch")
-        self._cn_edges, self._cn_pad = _padded_groups(self.check_of_edge, self.m)
+        # check tables are slot-major, (dmax, m), so that the extrinsic
+        # products and minima run over one whole (B, m) slot at a time
+        self._cn_edges, self._cn_pad = (t.T.copy() for t in _padded_groups(self.check_of_edge, self.m))
+        # flat slot-major position of each edge, to gather check messages
+        self._cn_slot = np.empty(self.n_edges, dtype=np.int64)
+        self._cn_slot[self._cn_edges[~self._cn_pad]] = np.flatnonzero(~self._cn_pad)
         self._vn_edges, self._vn_pad = _padded_groups(self.var_of_edge, self.n)
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """H @ bits mod 2, batched over leading axes."""
-        return ((np.asarray(bits, dtype=np.int64) @ self.h.bits.T.astype(np.int64)) & 1).astype(np.uint8)
+        return mod2_product(bits, self.h.bits.T)
 
 
 def _padded_groups(owner: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge indices grouped by owner, padded to the max degree.
+    """Edge indices grouped by owner in edge order, padded to the max degree.
 
     Returns (table (groups, dmax) of edge indices, pad mask (True where
     padding)). Padded slots point at edge 0 and are neutralized by callers.
     """
     degs = np.bincount(owner, minlength=groups)
     dmax = int(degs.max()) if len(degs) else 0
+    order = np.argsort(owner, kind="stable")
+    group = owner[order]
+    slot = np.arange(len(owner)) - (np.cumsum(degs) - degs)[group]
     table = np.zeros((groups, dmax), dtype=np.int64)
     pad = np.ones((groups, dmax), dtype=bool)
-    fill = np.zeros(groups, dtype=np.int64)
-    for e, g in enumerate(owner):
-        table[g, fill[g]] = e
-        pad[g, fill[g]] = False
-        fill[g] += 1
+    table[group, slot] = order
+    pad[group, slot] = False
     return table, pad
 
 
@@ -72,20 +77,29 @@ class BpConfig:
 
 
 def _excl_prod(t: np.ndarray) -> np.ndarray:
-    """Product over the last axis excluding each position (prefix * suffix)."""
-    pre = np.ones_like(t)
-    np.cumprod(t[..., :-1], axis=-1, out=pre[..., 1:])
-    suf = np.ones_like(t)
-    np.cumprod(t[..., :0:-1], axis=-1, out=suf[..., -2::-1])
-    return pre * suf
+    """Product over axis 1 excluding each position (prefix * suffix).
+
+    The prefix and suffix products multiply in the order of a cumulative
+    product, one slice of the short slot axis at a time.
+    """
+    d = t.shape[1]
+    pre = np.empty_like(t)
+    suf = np.empty_like(t)
+    pre[:, :1] = 1.0
+    suf[:, -1:] = 1.0
+    for j in range(1, d):
+        np.multiply(pre[:, j - 1], t[:, j - 1], out=pre[:, j])
+        np.multiply(suf[:, d - j], t[:, d - j], out=suf[:, d - j - 1])
+    pre *= suf
+    return pre
 
 
 def _excl_min(t: np.ndarray) -> np.ndarray:
-    """Min over the last axis excluding each position."""
+    """Min over axis 1 excluding each position."""
     pre = np.full_like(t, np.inf)
-    np.minimum.accumulate(t[..., :-1], axis=-1, out=pre[..., 1:])
+    np.minimum.accumulate(t[:, :-1], axis=1, out=pre[:, 1:])
     suf = np.full_like(t, np.inf)
-    np.minimum.accumulate(t[..., :0:-1], axis=-1, out=suf[..., -2::-1])
+    np.minimum.accumulate(t[:, :0:-1], axis=1, out=suf[:, -2::-1])
     return np.minimum(pre, suf)
 
 
@@ -97,16 +111,19 @@ def bp_decode_batch(
     """Decode a (B, n) batch of LLR vectors.
 
     Returns (hard decisions (B, n), iterations used (B,), converged (B,)).
-    A frame's output is frozen at its first zero-syndrome iteration.
+    With early stop, a frame's output is frozen at its first zero-syndrome
+    iteration and the frame leaves the working arrays; rows never interact,
+    so every remaining frame sees the same arithmetic as in a full batch.
     """
     llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
     if not np.isfinite(llr).all():
         raise ValueError("LLR values must be finite")
     batch = llr.shape[0]
-    v2c = llr[:, graph.var_of_edge].copy()
+    v2c = llr[:, graph.var_of_edge]
     out = np.zeros((batch, graph.n), dtype=np.uint8)
     iters = np.full(batch, cfg.max_iters, dtype=np.int64)
-    done = np.zeros(batch, dtype=bool)
+    converged = np.zeros(batch, dtype=bool)
+    active = np.arange(batch)  # batch rows of the working arrays
 
     cn_e, cn_pad = graph._cn_edges, graph._cn_pad
     vn_e, vn_pad = graph._vn_edges, graph._vn_pad
@@ -125,32 +142,31 @@ def bp_decode_batch(
             mags = np.abs(gathered)
             mags[:, cn_pad] = np.inf
             msgs = _excl_prod(signs) * _excl_min(mags)
-        c2v = np.empty_like(v2c)
-        c2v[:, cn_e[~cn_pad]] = msgs[:, ~cn_pad]
+        c2v = msgs.reshape(len(msgs), -1)[:, graph._cn_slot]
 
         # variable-node update and posterior
         incoming = c2v[:, vn_e]
         incoming[:, vn_pad] = 0.0
-        totals = incoming.sum(axis=-1)
-        posterior = llr + totals
-        v2c = (posterior[:, graph.var_of_edge]) - c2v
-
+        posterior = llr + incoming.sum(axis=-1)
         hd = (posterior < 0).astype(np.uint8)
         if cfg.early_stop:
             zero_syn = ~graph.syndrome(hd).any(axis=-1)
-            newly = zero_syn & ~done
-            out[newly] = hd[newly]
-            iters[newly] = it
-            done |= newly
-            if done.all():
-                break
-    converged = done.copy()
-    if not cfg.early_stop:
-        hd = (posterior < 0).astype(np.uint8)
-        converged = ~graph.syndrome(hd).any(axis=-1)
-        out = hd
+            if zero_syn.any():
+                rows = active[zero_syn]
+                out[rows] = hd[zero_syn]
+                iters[rows] = it
+                converged[rows] = True
+                keep = ~zero_syn
+                active = active[keep]
+                llr, posterior, c2v, hd = llr[keep], posterior[keep], c2v[keep], hd[keep]
+                if not active.size:
+                    break
+        v2c = posterior[:, graph.var_of_edge] - c2v
+    if cfg.early_stop:
+        out[active] = hd
     else:
-        out[~done] = hd[~done]
+        out = hd
+        converged = ~graph.syndrome(hd).any(axis=-1)
     return out, iters, converged
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import Code
+from .gf2 import mod2_product
 
 __all__ = [
     "NoiseSpec",
@@ -37,7 +38,7 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
 def modulate(bits: np.ndarray) -> np.ndarray:
     """BPSK: 0 -> +1, 1 -> -1."""
     bits = np.asarray(bits)
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("modulate expects bits in {0,1}")
     return 1.0 - 2.0 * bits.astype(np.float64)
 
@@ -124,12 +125,7 @@ class BatchSample:
 
 def syndromes_of(code: Code, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """H_j @ bits mod 2 for every PCM of the code; bits may be (n,) or (B, n)."""
-    bits = np.asarray(bits, dtype=np.int64)
-    out = []
-    for h in code.pcms:
-        s = (bits @ h.bits.T.astype(np.int64)) & 1
-        out.append(s.astype(np.uint8))
-    return tuple(out)
+    return tuple(mod2_product(bits, h.bits.T) for h in code.pcms)
 
 
 def _derive(code: Code, x: np.ndarray, x_s: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:

@@ -21,6 +21,7 @@ from .gf2 import (
     BinaryMatrix,
     gf2_matmul,
     is_cyclic_row_space,
+    mod2_product,
     null_space,
     rank,
     stack_rows,
@@ -80,16 +81,14 @@ class Code:
         message = np.asarray(message, dtype=np.uint8)
         if message.shape != (self.k,):
             raise ValueError(f"message length {message.shape} != k={self.k}")
-        return (message.astype(np.int64) @ self.generator.bits.astype(np.int64) & 1).astype(np.uint8)
+        return mod2_product(message, self.generator.bits)
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        messages = np.asarray(messages, dtype=np.uint8)
-        return ((messages.astype(np.int64) @ self.generator.bits.astype(np.int64)) & 1).astype(np.uint8)
+        return mod2_product(np.asarray(messages, dtype=np.uint8), self.generator.bits)
 
     def contains(self, word: np.ndarray) -> bool:
         word = np.asarray(word, dtype=np.uint8)
-        h = self.pcm.bits.astype(np.int64)
-        return bool((((h @ word.astype(np.int64)) & 1) == 0).all())
+        return not mod2_product(self.pcm.bits, word).any()
 
     def validate(self) -> None:
         """Check all structural invariants; raises AssertionError on failure."""

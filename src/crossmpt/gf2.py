@@ -7,6 +7,7 @@ import numpy as np
 __all__ = [
     "BinaryMatrix",
     "gf2_matmul",
+    "mod2_product",
     "identity",
     "rank",
     "rref",
@@ -81,6 +82,16 @@ def identity(n: int) -> BinaryMatrix:
     return BinaryMatrix(np.eye(n, dtype=np.uint8))
 
 
+def mod2_product(a, b) -> np.ndarray:
+    """a @ b mod 2 for arrays of 0/1 entries, as uint8.
+
+    The product runs through float64 BLAS. Every entry of it is an integer
+    count no larger than the inner dimension, so it is exact below 2**53.
+    """
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return (prod.astype(np.int64) & 1).astype(np.uint8)
+
+
 def gf2_matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Mod-2 matrix product.
 
@@ -88,8 +99,7 @@ def gf2_matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: ({a.rows}x{a.cols}) @ ({b.rows}x{b.cols})")
-    prod = (a.bits.astype(np.int64) @ b.bits.astype(np.int64)) & 1
-    return BinaryMatrix(prod.astype(np.uint8))
+    return BinaryMatrix(mod2_product(a.bits, b.bits))
 
 
 def rref(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:

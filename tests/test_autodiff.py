@@ -229,7 +229,8 @@ class TestPrimitiveGradients:
             out = ad.reduce_sum(ad.mul(t, t))
             return out if build else out.item()
 
-        assert rel_err(backprop_grads(params, fn)["x"], fd_grads(params, fn)["x"]) < 1e-5
+        # floor keeps near-zero entries on an absolute scale (FD noise ~1e-10)
+        assert rel_err(backprop_grads(params, fn)["x"], fd_grads(params, fn)["x"], floor=1e-4) < 1e-5
 
     def test_reshape_and_narrow_grads(self):
         rng = np.random.default_rng(9)
@@ -312,8 +313,10 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 
 def ref_gelu(x, g):
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
-    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    """GELU and its input gradient, with every constant in x's dtype."""
+    c = x.dtype.type
+    cdf = c(0.5) * (c(1.0) + erf(x * c(1.0 / np.sqrt(2.0))))
+    pdf = c(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(c(-0.5) * x * x)
     return x * cdf, g * (cdf + x * pdf)
 
 
@@ -423,3 +426,58 @@ class TestGradientAliasing:
         assert ad.narrow(x, 0, 3, axis=-1) is x
         assert ad.narrow(x, 0, 2, axis=0) is x
         assert ad.narrow(x, 0, 2, axis=-1) is not x
+
+
+def _primitive_graphs():
+    """One small graph per primitive: (name, parameter shapes, builder)."""
+    mask = np.where(np.eye(4, dtype=bool) | (np.arange(4) % 2 == 0), 0.0, NEG_INF)  # float64
+    return [
+        ("matmul", [(2, 3, 4), (4, 5)], lambda a, b: ad.matmul(a, b)),
+        ("transpose", [(3, 4)], lambda a: ad.transpose(a)),
+        ("add", [(3, 4), (4,)], lambda a, b: ad.add(a, b)),
+        ("mul", [(3, 4), (3, 4)], lambda a, b: ad.mul(a, b)),
+        ("neg", [(3, 4)], lambda a: ad.neg(a)),
+        ("scale", [(3, 4)], lambda a: ad.scale(a, 0.3)),
+        ("concat", [(3, 4), (2, 4)], lambda a, b: ad.concat([a, b])),
+        ("narrow", [(3, 4)], lambda a: ad.narrow(a, 1, 3)),
+        ("reshape", [(3, 4)], lambda a: ad.reshape(a, (12,))),
+        ("reduce_sum", [(3, 4)], lambda a: ad.reduce_sum(a)),
+        ("masked_softmax", [(2, 4, 4)], lambda a: ad.masked_softmax(a, mask)),
+        ("layer_norm", [(3, 4), (4,), (4,)], lambda a, g, b: ad.layer_norm(a, g, b)),
+        ("gelu", [(3, 4)], lambda a: ad.gelu(a)),
+        ("softplus", [(3, 4)], lambda a: ad.softplus(a)),
+        ("ffn", [(3, 4), (4, 6), (6,), (6, 4), (4,)], lambda *p: ad.ffn(*p)),
+    ]
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("name,shapes,build", [pytest.param(*g, id=g[0]) for g in _primitive_graphs()])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_primitive_keeps_its_input_dtype(self, name, shapes, build, dtype):
+        # float32 in gives float32 out and float32 gradients, even against
+        # float64 constants such as an attention mask
+        rng = np.random.default_rng(0)
+        params = [ad.parameter(rng.standard_normal(shape), dtype=dtype) for shape in shapes]
+        out = build(*params)
+        assert out.dtype == dtype, name
+        out.backward(np.ones(out.shape, dtype=dtype))
+        assert all(p.grad.dtype == dtype for p in params), name
+
+    def test_float64_gelu_unchanged_by_the_typed_constants(self):
+        # the constants are float64 scalars for a float64 input, so the
+        # float64 results are the formula's bit for bit
+        x = 3.0 * np.random.default_rng(1).standard_normal((5, 7))
+        t = ad.parameter(x)
+        out = ad.gelu(t)
+        out.backward(np.ones_like(x))
+        cdf = erf(x * (1.0 / np.sqrt(2.0)))
+        cdf += 1.0
+        cdf *= 0.5
+        gx = np.square(x)
+        gx *= -0.5
+        np.exp(gx, out=gx)
+        gx *= 1.0 / np.sqrt(2.0 * np.pi)
+        gx *= x
+        gx += cdf
+        assert np.array_equal(out.data, x * cdf)
+        assert np.array_equal(t.grad, gx)

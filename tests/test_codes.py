@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossmpt.codes import (
     CodeClass,
@@ -12,7 +14,7 @@ from crossmpt.codes import (
     parse_dense_text,
     registry_hash,
 )
-from crossmpt.gf2 import gf2_matmul, rank
+from crossmpt.gf2 import BinaryMatrix, gf2_matmul, rank
 
 
 def hamming_alist_text() -> str:
@@ -94,6 +96,26 @@ class TestDenseText:
     def test_row_length_named(self):
         with pytest.raises(CodeFormatError, match="line 3"):
             parse_dense_text("2 3\n1 0 1\n1 0\n")
+
+    @given(
+        m=st.integers(1, 12),
+        extra=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        zero_rows=st.integers(0, 3),
+        zero_cols=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_of_random_matrices(self, m, extra, density, zero_rows, zero_cols, seed):
+        # any binary m x n matrix with m < n, including all-zero rows and
+        # columns, survives dumps -> parse unchanged
+        rng = np.random.default_rng(seed)
+        n = m + extra
+        bits = (rng.random((m, n)) < density).astype(np.uint8)
+        bits[rng.choice(m, size=min(zero_rows, m), replace=False)] = 0
+        bits[:, rng.choice(n, size=min(zero_cols, n), replace=False)] = 0
+        h = BinaryMatrix(bits)
+        assert parse_dense_text(dense_text_dumps(h)) == h
 
 
 class TestRegistry:

@@ -12,6 +12,7 @@ from crossmpt.gf2 import (
     identity,
     identity_columns,
     is_cyclic_row_space,
+    mod2_product,
     null_space,
     rank,
     stack_rows,
@@ -46,6 +47,44 @@ class TestMatmul:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             gf2_matmul(identity(3), identity(4))
+
+
+def int64_mod2_product(a, b):
+    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+
+
+class TestMod2Product:
+    @given(
+        lead=st.lists(st.integers(1, 6), min_size=0, max_size=2).map(tuple),
+        k=st.integers(1, 80),
+        n=st.one_of(st.none(), st.integers(1, 40)),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_int64_product(self, lead, k, n, density, seed):
+        # a is (..., k); b is (k, n), or a (k,) vector when n is None
+        rng = np.random.default_rng(seed)
+        a = (rng.random(lead + (k,)) < density).astype(np.uint8)
+        b = (rng.random((k,) if n is None else (k, n)) < density).astype(np.uint8)
+        got = mod2_product(a, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, int64_mod2_product(a, b))
+
+    @pytest.mark.parametrize("k", [4096, 4097, 65537])
+    def test_all_ones_inner_dimension(self, k):
+        # every dot product is the full count k, so the parity is k's
+        a = np.ones((3, k), dtype=np.uint8)
+        b = np.ones((k, 2), dtype=np.uint8)
+        got = mod2_product(a, b)
+        assert np.array_equal(got, int64_mod2_product(a, b))
+        assert (got == k % 2).all()
+
+    def test_accepts_bool_and_matches_for_pcm_products(self):
+        code = get_code("ldpc_121_80")
+        words = np.random.default_rng(3).random((50, code.n)) < 0.5
+        expected = int64_mod2_product(words, code.pcm.bits.T)
+        assert np.array_equal(mod2_product(words, code.pcm.bits.T), expected)
 
 
 class TestSystematicForm:

@@ -174,6 +174,16 @@ class TestForward:
             logits = forward_arrays(params, cfg, code.pcm, smp.mag, smp.syndromes[0]).data
             assert logits.shape == (code.n,)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_model_computes_in_float32(self, variant):
+        # every activation after the first FFN and the attention masks stays
+        # float32, so the logits do too
+        code = get_code("ldpc_32_16")
+        cfg = small_cfg(variant, n_layers=2)
+        params = init_params(cfg, None if cfg.code_agnostic else code, seed=1, dtype=np.float32)
+        smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=2))
+        assert forward_arrays(params, cfg, code.pcm, smp.mag, smp.syndromes[0]).dtype == np.float32
+
     def test_variants_differ_but_replay_bitwise(self):
         code = get_code("hamming_7_4")
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=3), policy="random")
