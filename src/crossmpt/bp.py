@@ -132,10 +132,15 @@ def bp_decode_batch(
         # check-node update (extrinsic over each check's edges)
         gathered = v2c[:, cn_e]
         if cfg.algorithm == "sum_product":
-            t = np.clip(np.tanh(0.5 * gathered), -_TANH_CLIP, _TANH_CLIP)
+            # in place on the gathered and product arrays, same operations
+            t = np.multiply(gathered, 0.5, out=gathered)
+            np.tanh(t, out=t)
+            np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
             t[:, cn_pad] = 1.0
-            ext = np.clip(_excl_prod(t), -_TANH_CLIP, _TANH_CLIP)
-            msgs = 2.0 * np.arctanh(ext)
+            msgs = _excl_prod(t)
+            np.clip(msgs, -_TANH_CLIP, _TANH_CLIP, out=msgs)
+            np.arctanh(msgs, out=msgs)
+            np.multiply(msgs, 2.0, out=msgs)
         else:
             signs = np.where(gathered < 0, -1.0, 1.0)
             signs[:, cn_pad] = 1.0
@@ -147,7 +152,8 @@ def bp_decode_batch(
         # variable-node update and posterior
         incoming = c2v[:, vn_e]
         incoming[:, vn_pad] = 0.0
-        posterior = llr + incoming.sum(axis=-1)
+        posterior = incoming.sum(axis=-1)
+        posterior += llr
         hd = (posterior < 0).astype(np.uint8)
         if cfg.early_stop:
             zero_syn = ~graph.syndrome(hd).any(axis=-1)
@@ -161,7 +167,8 @@ def bp_decode_batch(
                 llr, posterior, c2v, hd = llr[keep], posterior[keep], c2v[keep], hd[keep]
                 if not active.size:
                     break
-        v2c = posterior[:, graph.var_of_edge] - c2v
+        v2c = posterior[:, graph.var_of_edge]
+        v2c -= c2v
     if cfg.early_stop:
         out[active] = hd
     else:

@@ -11,6 +11,8 @@ worker count.
 from __future__ import annotations
 
 import csv
+import ctypes
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +48,10 @@ __all__ = [
 
 _TAG_EVAL = 3
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# glibc mallopt (param, value) pairs for evaluation: M_MMAP_THRESHOLD (-3) at
+# 32 MiB, the largest value 64-bit glibc accepts, and M_TRIM_THRESHOLD (-1)
+_HEAP_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
 
 # Published mask densities (percent) for bundled codes, (cross, self) pairs,
 # used by the analyzer to flag reconstruction discrepancies.
@@ -175,15 +181,49 @@ class BpDecoder:
         return out
 
 
-def _decode_chunk(args) -> tuple[int, np.ndarray, int]:
-    """Worker: decode one seeded chunk, return (bit errors, per-bit errors,
-    frame errors)."""
-    decoder, code, spec, policy, count, stream = args
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process (glibc only; idempotent).
+
+    By default glibc serves each multi-MB numpy temporary with its own mmap
+    and returns it to the kernel when it is freed, so the next chunk of an
+    evaluation faults the same pages in again. Setting both thresholds
+    freezes glibc's dynamic ones: temporaries up to 32 MiB come from the heap,
+    and up to 256 MiB of free heap top stays mapped for reuse. No arithmetic
+    changes.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if mallopt(param, value) != 1:
+            raise OSError(f"mallopt({param}, {value}) failed")
+
+
+def _decode_chunk(
+    decoder, code: Code, policy: str, spec: NoiseSpec, count: int, stream
+) -> tuple[int, np.ndarray, int]:
+    """Decode one seeded chunk, return (bit errors, per-bit errors, frame
+    errors)."""
     batch = sample_batch(code, spec, count, policy=policy, stream=stream)
     xhat = decoder.decode_batch(batch)
     errs = (xhat ^ batch.x).astype(np.int64)
     per_bit = errs.sum(axis=0)
     return int(per_bit.sum()), per_bit, int((errs.any(axis=1)).sum())
+
+
+_worker_state: tuple = ()  # (decoder, code, policy), set once per pool worker
+
+
+def _init_worker(decoder, code: Code, policy: str) -> None:
+    global _worker_state
+    _keep_freed_heap()
+    _worker_state = (decoder, code, policy)
+
+
+def _worker_chunk(job) -> tuple[int, np.ndarray, int]:
+    return _decode_chunk(*_worker_state, *job)
 
 
 def estimate_ber(
@@ -200,10 +240,17 @@ def estimate_ber(
 
     Random-codeword transmission is the default (valid for syndrome-based
     decoders by the codeword-invariance property); all_zero is available for
-    cross-checks. Deterministic for a fixed seed regardless of workers.
+    cross-checks. Deterministic for a fixed seed regardless of workers. With
+    workers > 1 the decoder is sent to each worker once, and a job carries
+    only its noise spec, frame count and stream.
     """
+    _keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(decoder, code, policy)
+        )
     try:
         for si, ebn0 in enumerate(ebn0_list):
             spec = NoiseSpec.for_code(code, ebn0, seed=seed)
@@ -214,12 +261,9 @@ def estimate_ber(
             chunk_idx = 0
             while row.bit_errors < stop.min_errors and row.bits_sent < stop.max_bits:
                 wave = max(1, workers)
-                jobs = [
-                    (decoder, code, spec, policy, chunk_frames, (_TAG_EVAL, si, chunk_idx + w))
-                    for w in range(wave)
-                ]
-                results = list(pool.map(_decode_chunk, jobs)) if pool else [
-                    _decode_chunk(j) for j in jobs
+                jobs = [(spec, chunk_frames, (_TAG_EVAL, si, chunk_idx + w)) for w in range(wave)]
+                results = list(pool.map(_worker_chunk, jobs)) if pool else [
+                    _decode_chunk(decoder, code, policy, *j) for j in jobs
                 ]
                 for bit_err, per_bit, frame_err in results:
                     if row.bit_errors >= stop.min_errors or row.bits_sent >= stop.max_bits:

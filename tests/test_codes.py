@@ -17,24 +17,31 @@ from crossmpt.codes import (
 from crossmpt.gf2 import BinaryMatrix, gf2_matmul, rank
 
 
-def hamming_alist_text() -> str:
-    h = get_code("hamming_7_4").pcm.bits
-    m, n = h.shape
-    lines = [f"{n} {m}"]
-    col_w = h.sum(axis=0)
-    row_w = h.sum(axis=1)
-    lines.append(f"{col_w.max()} {row_w.max()}")
+def alist_dumps(h: BinaryMatrix) -> str:
+    """The alist form of h: "n m", the maximum column and row weights, the
+    weights, then 1-based index lists zero-padded to the maximum weight (at
+    least one entry, so an all-zero column or row is a line of "0")."""
+    bits = h.bits
+    m, n = bits.shape
+    col_w, row_w = bits.sum(axis=0), bits.sum(axis=1)
+
+    def index_lines(rows, width):
+        lines = []
+        for row in rows:
+            idx = [str(int(i) + 1) for i in np.nonzero(row)[0]]
+            lines.append(" ".join(idx + ["0"] * (max(width, 1) - len(idx))))
+        return lines
+
+    lines = [f"{n} {m}", f"{col_w.max()} {row_w.max()}"]
     lines.append(" ".join(str(int(w)) for w in col_w))
     lines.append(" ".join(str(int(w)) for w in row_w))
-    for j in range(n):
-        idx = [str(int(r) + 1) for r in np.nonzero(h[:, j])[0]]
-        idx += ["0"] * (int(col_w.max()) - len(idx))
-        lines.append(" ".join(idx))
-    for i in range(m):
-        idx = [str(int(c) + 1) for c in np.nonzero(h[i])[0]]
-        idx += ["0"] * (int(row_w.max()) - len(idx))
-        lines.append(" ".join(idx))
+    lines += index_lines(bits.T, int(col_w.max()))
+    lines += index_lines(bits, int(row_w.max()))
     return "\n".join(lines) + "\n"
+
+
+def hamming_alist_text() -> str:
+    return alist_dumps(get_code("hamming_7_4").pcm)
 
 
 class TestAlist:
@@ -74,6 +81,30 @@ class TestAlist:
         truncated = "\n".join(lines[: 4 + 7]) + "\n"
         with pytest.raises(CodeFormatError, match="row 2"):
             parse_alist(truncated)
+
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 16),
+        density=st.floats(0.0, 1.0),
+        zero_rows=st.integers(0, 3),
+        zero_cols=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_of_random_matrices(self, m, n, density, zero_rows, zero_cols, seed):
+        # any binary matrix, including all-zero rows and columns, survives
+        # the alist writer -> parse_alist unchanged
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((m, n)) < density).astype(np.uint8)
+        bits[rng.choice(m, size=min(zero_rows, m), replace=False)] = 0
+        bits[:, rng.choice(n, size=min(zero_cols, n), replace=False)] = 0
+        h = BinaryMatrix(bits)
+        assert parse_alist(alist_dumps(h)) == h
+
+    @pytest.mark.parametrize("name", list_codes())
+    def test_alist_and_dense_text_of_bundled_codes_agree(self, name):
+        h = get_code(name).pcm
+        assert parse_alist(alist_dumps(h)) == parse_dense_text(dense_text_dumps(h)) == h
 
 
 class TestDenseText:

@@ -1,7 +1,11 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from crossmpt import evaluation
 from crossmpt.bp import BpConfig
 from crossmpt.channel import NoiseSpec, sample
 from crossmpt.codes import get_code, list_codes
@@ -34,6 +38,16 @@ class TestWilson:
 
     def test_no_trials(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+class PickleCountingDecoder(IdentityDecoder):
+    """Counts how often it is pickled (in the process that pickles it)."""
+
+    pickles = 0
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
 
 
 class TestEstimateBer:
@@ -76,6 +90,41 @@ class TestEstimateBer:
         par = estimate_ber(model, code, [3.0], stop, seed=21, workers=2)
         assert seq.rows[0].bit_errors == par.rows[0].bit_errors
         assert np.array_equal(seq.rows[0].per_bit_errors, par.rows[0].per_bit_errors)
+
+    def test_decoder_is_sent_once_per_worker(self):
+        # jobs carry only (spec, count, stream); the decoder reaches each
+        # worker through the pool initializer
+        code = get_code("hamming_7_4")
+        PickleCountingDecoder.pickles = 0
+        report = estimate_ber(
+            PickleCountingDecoder(), code, [3.0], StopRule(min_errors=10**9, max_bits=7 * 64 * 8),
+            seed=22, chunk_frames=64, workers=2,
+        )
+        assert report.rows[0].frames_sent == 64 * 8
+        assert PickleCountingDecoder.pickles <= 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+    def test_bp_chunks_reuse_freed_heap_memory(self):
+        # without the heap policy each 512-frame BP chunk on ldpc_121_80
+        # faults its freed temporaries back in: about 3,200 minor faults
+        code = get_code("ldpc_121_80")
+        dec = BpDecoder(code, BpConfig(max_iters=20))
+        estimate_ber(dec, code, [4.0], StopRule(min_errors=10**9, max_bits=512 * code.n), seed=23)
+        chunks = 4
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        estimate_ber(
+            dec, code, [4.0], StopRule(min_errors=10**9, max_bits=chunks * 512 * code.n), seed=24
+        )
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / chunks < 100
+
+    def test_heap_policy_is_a_no_op_off_glibc(self, monkeypatch):
+        def no_libc(*_args):
+            raise AssertionError("libc must not be loaded off glibc")
+
+        monkeypatch.setattr(evaluation.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(evaluation.ctypes, "CDLL", no_libc)
+        evaluation._keep_freed_heap()
 
     def test_bp_beats_uncoded_at_4db(self):
         code = get_code("ldpc_121_80")
