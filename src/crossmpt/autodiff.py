@@ -14,7 +14,7 @@ not allocate itself; it may work in place on temporaries it allocated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 __all__ = [
     "Tensor",
@@ -164,11 +164,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, keepdims, as one matrix-vector product against
-    a 1/d vector of x's dtype."""
+    """Mean over the last axis, keepdims, as matrix-vector products against a
+    1/d vector of x's dtype, one per leading index. One product over all rows
+    flattened would let BLAS's blocking of the rows make a frame's means
+    depend on the frames batched with it."""
     d = x.shape[-1]
-    rows = x.reshape(-1, d) @ np.full(d, 1.0 / d, dtype=x.dtype)
-    return rows.reshape(x.shape[:-1] + (1,))
+    return (x @ np.full(d, 1.0 / d, dtype=x.dtype))[..., None]
 
 
 def _result(data, parents, backward) -> Tensor:
@@ -366,12 +367,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Exact (erf-based) GELU. scipy's float64 `erf` is the floor of its cost;
+    """Exact GELU, x * Phi(x). scipy's float64 `erf` is the floor of its cost;
     the rest of the arithmetic runs in place on arrays allocated here. The
-    constants take x's dtype, so float32 stays float32."""
+    constants take x's dtype, so float32 stays float32. float32 computes Phi
+    as 0.5 * erfc(-x / sqrt(2)), because 1 + erf rounds to 0 below about
+    x = -5.9 and loses the tail; float64 keeps the 1 + erf form."""
     x = t.data
-    cdf = erf(x * x.dtype.type(_INV_SQRT2))
-    cdf += 1.0
+    if x.dtype == np.float32:
+        cdf = erfc(x * np.float32(-_INV_SQRT2))
+    else:
+        cdf = erf(x * _INV_SQRT2)
+        cdf += 1.0
     cdf *= 0.5
     out_data = x * cdf
 

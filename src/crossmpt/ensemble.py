@@ -18,7 +18,7 @@ from .channel import BatchSample
 from .codes import Code
 from .gf2 import BinaryMatrix, complementary_pcm, diagonalize_at, systematic_form
 from .masks import MaskMatrix, build_crossmpt_masks
-from .models import DecoderModel, ModelConfig, Variant, decide, foundation_logits
+from .models import DecoderModel, ModelConfig, Variant, foundation_logits
 
 __all__ = ["EnsembleConfig", "build_ensemble", "coverage_report", "crossed_forward", "CrossEDModel"]
 
@@ -127,6 +127,5 @@ class CrossEDModel(DecoderModel):
     def logits_batch(self, mag: np.ndarray, syndromes: list[np.ndarray], capture=None) -> Tensor:
         return crossed_forward(self.params, self.ens, mag, syndromes, capture)
 
-    def decode_batch(self, batch: BatchSample) -> np.ndarray:
-        logits = self.logits_batch(batch.mag, list(batch.syndromes))
-        return decide(batch.y, logits.data)
+    def _logits(self, batch: BatchSample, rows: slice) -> np.ndarray:
+        return self.logits_batch(batch.mag[rows], [s[rows] for s in batch.syndromes]).data

@@ -26,6 +26,7 @@ from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import build_crossmpt_masks, build_ecct_mask
 from .models import ModelConfig
+from .parallel import one_blas_thread, share_cores
 
 __all__ = [
     "StopRule",
@@ -216,9 +217,10 @@ def _decode_chunk(
 _worker_state: tuple = ()  # (decoder, code, policy), set once per pool worker
 
 
-def _init_worker(decoder, code: Code, policy: str) -> None:
+def _init_worker(decoder, code: Code, policy: str, workers: int) -> None:
     global _worker_state
     _keep_freed_heap()
+    share_cores(workers)
     _worker_state = (decoder, code, policy)
 
 
@@ -226,6 +228,7 @@ def _worker_chunk(job) -> tuple[int, np.ndarray, int]:
     return _decode_chunk(*_worker_state, *job)
 
 
+@one_blas_thread()
 def estimate_ber(
     decoder,
     code: Code,
@@ -242,14 +245,16 @@ def estimate_ber(
     decoders by the codeword-invariance property); all_zero is available for
     cross-checks. Deterministic for a fixed seed regardless of workers. With
     workers > 1 the decoder is sent to each worker once, and a job carries
-    only its noise spec, frame count and stream.
+    only its noise spec, frame count and stream. Neural decoders split each
+    chunk's rows over the cores, which the workers share out; OpenBLAS runs
+    on one thread for the duration of the call.
     """
     _keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
     pool = None
     if workers > 1:
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(decoder, code, policy)
+            max_workers=workers, initializer=_init_worker, initargs=(decoder, code, policy, workers)
         )
     try:
         for si, ebn0 in enumerate(ebn0_list):

@@ -36,6 +36,7 @@ from .masks import (
     build_ecct_mask,
     build_fully_masked_ecct_mask,
 )
+from .parallel import split_rows
 
 __all__ = [
     "Variant",
@@ -424,9 +425,14 @@ class DecoderModel:
             self.params, self.cfg, self.code.pcm, mag, syn, masks=self.masks, capture=capture
         )
 
+    def _logits(self, batch: BatchSample, rows: slice) -> np.ndarray:
+        return self.logits_batch(batch.mag[rows], batch.syndromes[0][rows]).data
+
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
-        logits = self.logits_batch(batch.mag, batch.syndromes[0])
-        return decide(batch.y, logits.data)
+        """Hard decisions for a batch, decoded in row slices on this process's
+        share of the cores; the logits are bitwise those of one pass."""
+        logits = split_rows(lambda rows: self._logits(batch, rows), len(batch))
+        return decide(batch.y, logits)
 
     def param_count(self) -> int:
         return param_count(self.cfg, self.code)

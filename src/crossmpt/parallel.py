@@ -1,0 +1,109 @@
+"""Thread use of training and evaluation: OpenBLAS pinned to one thread, and
+a decode batch split by rows over the process's cores.
+
+Every primitive computes a frame's values from that frame's rows alone, so a
+batch decoded in contiguous row slices, one slice per thread, gives bitwise
+the logits of one pass over the whole batch, for any thread count.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["one_blas_thread", "share_cores", "split_rows"]
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """The get/set thread-count functions of the OpenBLAS bundled with numpy,
+    or None when numpy runs another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype = ctypes.c_int
+                    put.argtypes = [ctypes.c_int]
+                    return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore its count.
+
+    The GEMMs of a training step and of a decode call are big enough for
+    OpenBLAS to thread but too small to gain from it; its threads then wait
+    for a core, and in evaluation they compete with the decode threads.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+_processes = 1  # processes sharing the cores; set in estimate_ber's workers
+
+
+def share_cores(processes: int) -> None:
+    """Declare that this process is one of `processes` that share the cores."""
+    global _processes
+    _processes = max(1, processes)
+
+
+# (pid, size, executor): helper threads kept alive across calls. A process
+# forked from this one inherits the entry but not the threads, so the pid
+# tells it to start its own.
+_helpers: tuple[int, int, ThreadPoolExecutor] | None = None
+
+
+def _helper_pool(size: int) -> ThreadPoolExecutor:
+    global _helpers
+    pid = os.getpid()
+    if _helpers is None or _helpers[0] != pid or _helpers[1] < size:
+        _helpers = (pid, size, ThreadPoolExecutor(size, thread_name_prefix="crossmpt-rows"))
+    return _helpers[2]
+
+
+def split_rows(fn, frames: int) -> np.ndarray:
+    """fn(rows) over t = min(threads, frames) contiguous row slices of a
+    batch, concatenated along the first axis.
+
+    threads is this process's share of the cores. The calling thread computes
+    the first slice and helper threads the others; each fn call must depend
+    only on the rows it is given.
+    """
+    t = min(max(1, _cores() // _processes), frames)
+    if t <= 1:
+        return fn(slice(0, frames))
+    edges = [frames * i // t for i in range(t + 1)]
+    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    futures = [_helper_pool(t - 1).submit(fn, rows) for rows in slices[1:]]
+    try:
+        parts = [fn(slices[0])]
+    finally:
+        wait(futures)
+    parts += [f.result() for f in futures]
+    return np.concatenate(parts)

@@ -5,10 +5,7 @@ deterministic per-(epoch, batch) data streams, and exact interrupt/resume.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +20,7 @@ from .codes import Code, get_code
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params, masks_for
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
+from .parallel import one_blas_thread
 
 __all__ = [
     "TrainConfig",
@@ -37,45 +35,6 @@ __all__ = [
 # rng stream tags (seed, tag, ...)
 _TAG_DATA = 1
 _TAG_CODESEL = 2
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """The get/set thread-count functions of the OpenBLAS bundled with numpy,
-    or None when numpy runs another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.restype = ctypes.c_int
-                    put.argtypes = [ctypes.c_int]
-                    return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore its count.
-
-    The backward GEMMs of a training step are big enough for OpenBLAS to
-    thread but too small to gain from it, and on a busy machine the threads
-    wait for a core.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 class NumericFailure(RuntimeError):
@@ -216,7 +175,7 @@ def _validate_resume(stored: dict, cfg: TrainConfig) -> None:
             )
 
 
-@_one_blas_thread()
+@one_blas_thread()
 def train(
     cfg: TrainConfig,
     out_dir: str | Path | None = None,

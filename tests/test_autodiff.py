@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
@@ -481,3 +481,25 @@ class TestDtypes:
         gx += cdf
         assert np.array_equal(out.data, x * cdf)
         assert np.array_equal(t.grad, gx)
+
+    def test_float32_gelu_keeps_the_negative_tail(self):
+        # float32 `1 + erf` rounds to 0 below about x = -5.9; the float32 path
+        # must follow a float64 reference, rounded to float32, over [-40, 40]
+        x = np.linspace(-40.0, 40.0, 80_001, dtype=np.float32)
+        t = ad.parameter(x, np.float32)
+        out = ad.gelu(t)
+        out.backward(np.ones_like(x))
+        x64 = x.astype(np.float64)
+        cdf = 0.5 * erfc(-x64 / np.sqrt(2.0))
+        ref = (x64 * cdf).astype(np.float32)
+        ref_grad = (cdf + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)).astype(np.float32)
+        # subnormal outputs keep only their absolute precision
+        np.testing.assert_allclose(out.data, ref, rtol=3e-5, atol=1e-42)
+        normal = np.abs(ref) >= np.finfo(np.float32).tiny
+        assert (out.data[normal] != 0).all()
+        assert out.data[x == -10.0][0] < 0
+        # the gradient crosses zero near x = -0.75, where only an absolute
+        # bound holds; in the negative tail it is relatively accurate
+        np.testing.assert_allclose(t.grad, ref_grad, rtol=1e-5, atol=1e-6)
+        tail = (x < -3.0) & (np.abs(ref_grad) >= np.finfo(np.float32).tiny)
+        np.testing.assert_allclose(t.grad[tail], ref_grad[tail], rtol=1e-5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from crossmpt import evaluation
+from crossmpt import evaluation, parallel
 from crossmpt.bp import BpConfig
 from crossmpt.channel import NoiseSpec, sample
 from crossmpt.codes import get_code, list_codes
@@ -125,6 +125,64 @@ class TestEstimateBer:
         monkeypatch.setattr(evaluation.platform, "libc_ver", lambda: ("", ""))
         monkeypatch.setattr(evaluation.ctypes, "CDLL", no_libc)
         evaluation._keep_freed_heap()
+
+    def test_counts_and_csv_equal_for_any_thread_and_worker_count(self, monkeypatch, tmp_path):
+        # each workers=1 call runs first and leaves helper threads behind; the
+        # forked workers inherit the pool entry but not its threads. At 4
+        # cores each of the 2 workers splits its chunks over 2 threads.
+        code = get_code("bch_15_7")
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=16)
+        model = DecoderModel(cfg, code, seed=30, infer_only=True)
+        stop = StopRule(min_errors=250, max_bits=code.n * 100 * 6)
+        counts, csvs = [], []
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(parallel, "_cores", lambda cores=cores: cores)
+            for workers in (1, 2):
+                report = estimate_ber(
+                    model, code, [3.0, 5.0], stop, seed=31, chunk_frames=100, workers=workers
+                )
+                counts.append([
+                    (r.bits_sent, r.bit_errors, r.frames_sent, r.frame_errors,
+                     r.per_bit_errors.tolist())
+                    for r in report.rows
+                ])
+                path = tmp_path / f"ber_{cores}_{workers}.csv"
+                report.to_csv(path)
+                csvs.append(path.read_bytes())
+        assert all(c == counts[0] for c in counts)
+        assert all(c == csvs[0] for c in csvs)
+
+    def test_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        calls = parallel._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, put = calls
+        seen = []
+        real_sample = evaluation.sample_batch
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real_sample(*args, **kwargs)
+
+        class Diverged(IdentityDecoder):
+            def decode_batch(self, batch):
+                raise FloatingPointError("logits are not finite")
+
+        monkeypatch.setattr(evaluation, "sample_batch", spy)
+        code = get_code("hamming_7_4")
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+        model = DecoderModel(cfg, code, seed=32, infer_only=True)
+        stop = StopRule(min_errors=10**9, max_bits=code.n * 64 * 2)
+        before = get()
+        put(2)
+        try:
+            estimate_ber(model, code, [3.0], stop, seed=33, chunk_frames=64)
+            assert seen == [1, 1] and get() == 2
+            with pytest.raises(FloatingPointError):
+                estimate_ber(Diverged(), code, [3.0], stop, seed=33, chunk_frames=64)
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_bp_beats_uncoded_at_4db(self):
         code = get_code("ldpc_121_80")

@@ -1,13 +1,18 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
 from crossmpt.channel import NoiseSpec, make_invariance_pair, sample, sample_batch
-from crossmpt.codes import get_code
-from crossmpt.gf2 import BinaryMatrix
+from crossmpt.codes import _code_from_pcm, get_code
+from crossmpt.ensemble import CrossEDModel, build_ensemble
+from crossmpt.gf2 import BinaryMatrix, rank
 from crossmpt.masks import build_crossmpt_masks
 from crossmpt.models import (
     DecoderModel,
@@ -354,3 +359,86 @@ class TestFullModelGradients:
         bp, fd = backprop_grads(params, fn), fd_grads(params, fn)
         worst = max(rel_err(bp[k], fd[k]) for k in params)
         assert worst < 1e-4
+
+
+# every variant, plus CrossED p=2 over fcrossmpt towers
+FRAME_MODELS = [v.value for v in Variant] + ["crossed"]
+
+
+@functools.cache
+def frame_model(kind, dtype):
+    code = get_code("bch_15_7")
+    if kind == "crossed":
+        ens = build_ensemble(code, 2, base=small_cfg(Variant.FCROSSMPT, d=16))
+        return CrossEDModel(ens, seed=7, dtype=dtype, infer_only=True)
+    return DecoderModel(small_cfg(Variant(kind), d=16), code, seed=7, dtype=dtype, infer_only=True)
+
+
+def logits_of(model, batch, rows):
+    syn = [s[rows] for s in batch.syndromes] if hasattr(model, "ens") else batch.syndromes[0][rows]
+    return model.logits_batch(batch.mag[rows], syn).data
+
+
+def rows_of(batch, rows):
+    arrays = {
+        f.name: getattr(batch, f.name)[rows]
+        for f in dataclasses.fields(batch) if f.name != "syndromes"
+    }
+    return dataclasses.replace(batch, syndromes=tuple(s[rows] for s in batch.syndromes), **arrays)
+
+
+class TestFrameIndependence:
+    """A frame's logits depend on that frame alone, not on the batch around
+    it; this is what makes a row split of a decode batch exact."""
+
+    @given(
+        kind=st.sampled_from(FRAME_MODELS),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        frames=st.integers(1, 17),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_split_batches_give_the_whole_batch_bitwise(self, kind, dtype, frames, data, seed):
+        model = frame_model(kind, dtype)
+        spec = NoiseSpec.for_code(model.code, 3.0, seed=seed)
+        batch = sample_batch(model.code, spec, frames, policy="random")
+        cut = data.draw(st.integers(0, frames), label="cut")
+        whole = logits_of(model, batch, slice(0, frames))
+        parts = np.concatenate(
+            [logits_of(model, batch, slice(0, cut)), logits_of(model, batch, slice(cut, frames))]
+        )
+        assert parts.tobytes() == whole.tobytes()
+        b = data.draw(st.integers(0, frames - 1), label="frame")
+        one = rows_of(batch, slice(b, b + 1))
+        assert logits_of(model, one, slice(0, 1)).tobytes() == whole[b : b + 1].tobytes()
+        assert model.decode_batch(one).tobytes() == model.decode_batch(batch)[b : b + 1].tobytes()
+
+
+@st.composite
+def full_rank_pcms(draw):
+    """Random full-rank m x n PCMs, n <= 24, with every column checked."""
+    n = draw(st.integers(3, 24))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    empty = np.flatnonzero(~h.any(axis=0))
+    h[rng.integers(0, m, size=empty.size), empty] = 1
+    pcm = BinaryMatrix(h)
+    assume(rank(pcm) == m)
+    return pcm
+
+
+class TestCodewordInvarianceOnRandomCodes:
+    @given(pcm=full_rank_pcms(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_logits_equal_for_two_codewords_under_one_noise_pattern(self, pcm, seed):
+        code = _code_from_pcm(pcm)
+        rng = np.random.default_rng(seed)
+        base = sample(code, NoiseSpec.for_code(code, 2.0, seed=seed), policy="random")
+        other = make_invariance_pair(code, base, code.encode(rng.integers(0, 2, size=code.k)))
+        for variant in Variant:
+            model = DecoderModel(small_cfg(variant), code, seed=seed % 1000, infer_only=True)
+            ref = model.logits_batch(base.mag[None, :], base.syndromes[0][None, :]).data
+            out = model.logits_batch(other.mag[None, :], other.syndromes[0][None, :]).data
+            assert out.tobytes() == ref.tobytes(), variant

@@ -107,7 +107,7 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_aborts_at_its_own_step(self, monkeypatch):
-        from crossmpt import training
+        from crossmpt import parallel, training
 
         real_clip = training.clip_global_norm
         calls = []
@@ -128,9 +128,9 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_steps_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, tmp_path):
-        from crossmpt import training
+        from crossmpt import parallel, training
 
-        calls = training._openblas_thread_calls()
+        calls = parallel._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle OpenBLAS")
         get, put = calls
