@@ -7,6 +7,14 @@ reduction. Arrays are float64 by default; float32 is accepted for training
 runs. Graphs are built per forward pass; backward() walks the recorded
 applications exactly once and refuses to run twice on the same record.
 
+Gradient lifetime: backward() leaves gradients only on leaves, the tensors
+without parents (parameters and other requires_grad inputs), where they
+accumulate across graphs until zero_grad(). An interior node's gradient is
+dropped as soon as its backward closure has used it, so after backward() every
+node with parents has grad None, as PyTorch does for non-leaf tensors. A graph
+then holds only its node outputs, and those live as long as the caller keeps a
+reference to the output.
+
 A backward closure never mutates its incoming gradient or any array it did
 not allocate itself; it may work in place on temporaries it allocated.
 """
@@ -82,9 +90,11 @@ class Tensor:
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Reverse-accumulate gradients from this tensor.
 
-        Every node in the recorded graph is visited exactly once. Calling
-        backward twice on the same output is an error; build a fresh forward
-        pass instead.
+        Every node in the recorded graph is visited exactly once, and an
+        interior node's gradient is freed once its closure has used it; leaves
+        keep theirs. Calling backward twice on the same output, or through a
+        node an earlier backward used, is an error; build a fresh forward pass
+        instead.
         """
         if self._done:
             raise RuntimeError("backward already ran on this computation record")
@@ -116,6 +126,7 @@ class Tensor:
                     raise RuntimeError("computation record node already consumed by backward")
                 node._backward(node.grad)
                 node._done = True
+                node.grad = None
         self._done = True
 
     # operator sugar

@@ -267,8 +267,7 @@ def train(
             )
             for p in params.values():
                 p.zero_grad()
-            logits = lane.logits(params, model_cfg, batch)
-            loss_t = loss(logits, batch.target)
+            loss_t = loss(lane.logits(params, model_cfg, batch), batch.target)
             value = loss_t.item()
             if not np.isfinite(value):
                 raise NumericFailure(
@@ -276,6 +275,7 @@ def train(
                     f"(code {lane.name}, lr {lr:.3e})"
                 )
             loss_t.backward()
+            del loss_t  # the step's graph; freed before the next forward
             grad_norm = clip_global_norm(params, cfg.clip_norm)
             if not np.isfinite(grad_norm):
                 raise NumericFailure(

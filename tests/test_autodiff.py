@@ -399,7 +399,8 @@ class TestGradientAliasing:
         p.grad[0, 0] = 7.0
         assert np.array_equal(q.grad, np.ones((3, 4)))
 
-    def test_no_two_tensors_share_gradient_memory(self):
+    @staticmethod
+    def _graph():
         rng = np.random.default_rng(11)
         x = ad.parameter(rand(rng, 2, 3, 4))
         w = ad.parameter(rand(rng, 4, 4))
@@ -408,18 +409,47 @@ class TestGradientAliasing:
         u = ad.concat([h, ad.narrow(x, 1, 3, axis=-1)], axis=-1)
         v = ad.reshape(ad.transpose(u), (2, 18))
         out = ad.reduce_sum(ad.mul(ad.gelu(v), ad.neg(v)))
-        out.backward()
         nodes, stack = [], [out]
         while stack:
             node = stack.pop()
             if all(node is not seen for seen in nodes):
                 nodes.append(node)
                 stack.extend(node._parents)
-        grads = [n.grad for n in nodes if n.grad is not None]
+        return out, nodes
+
+    def test_no_two_tensors_share_gradient_memory(self):
+        # interior gradients are freed after use, so record each one as
+        # backward hands it to its node's closure
+        out, nodes = self._graph()
+        grads = []
+
+        def recording(closure):
+            def backward(g):
+                grads.append(g)
+                closure(g)
+            return backward
+
+        for node in nodes:
+            if node._backward is not None:
+                node._backward = recording(node._backward)
+        out.backward()
+        grads += [n.grad for n in nodes if not n._parents and n.grad is not None]
         assert len(grads) >= 8
         for i, gi in enumerate(grads):
             for gj in grads[i + 1:]:
                 assert not np.shares_memory(gi, gj)
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        out, nodes = self._graph()
+        out.backward()
+        interior = [n for n in nodes if n._parents]
+        leaves = [n for n in nodes if not n._parents]
+        assert len(interior) >= 8 and len(leaves) == 3
+        assert all(n.grad is None for n in interior)
+        assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+        used = next(n for n in interior if n is not out)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            ad.reduce_sum(ad.scale(used, 2.0)).backward()
 
     def test_full_axis_narrow_records_no_node(self):
         x = ad.parameter(np.arange(6.0).reshape(2, 3))

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from crossmpt.training import (
     parse_config_file,
     train,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLoss:
@@ -202,6 +207,71 @@ class TestTrainLoop:
         assert len(ck.branch_pcms) == 2
 
 
+class TestStepMemory:
+    """A step's graph dies before the next step samples its batch, and
+    backward keeps no interior gradient, so training holds one graph."""
+
+    @staticmethod
+    def _graph_nbytes(out) -> int:
+        seen, stack, total = set(), [out], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                total += node.data.nbytes
+                stack.extend(node._parents)
+        return total
+
+    def test_previous_step_graph_is_dead_when_the_next_step_starts(self, monkeypatch, tmp_path):
+        from crossmpt import training
+
+        real_loss, real_sample = training.loss, training.sample_batch
+        refs, alive = [], []
+
+        def spy_loss(logits, target):
+            out = real_loss(logits, target)
+            refs.append((weakref.ref(logits.data), weakref.ref(out.data)))
+            return out
+
+        def spy_sample(*args, **kwargs):
+            if refs:
+                alive.append([ref() is not None for ref in refs[-1]])
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(training, "loss", spy_loss)
+        monkeypatch.setattr(training, "sample_batch", spy_sample)
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
+                          epochs=2, batches_per_epoch=2, batch_size=8, seed=29)
+        train(cfg, out_dir=tmp_path)
+        assert len(refs) == 4
+        assert alive == [[False, False]] * 3
+
+    def test_peak_memory_is_about_one_graph(self, monkeypatch, tmp_path):
+        # numpy reports its buffers to tracemalloc; a step that kept the
+        # previous graph or the interior gradients would peak near 2.5-3.5x
+        from crossmpt import training
+
+        real_loss = training.loss
+        graph_bytes = []
+
+        def spy_loss(logits, target):
+            out = real_loss(logits, target)
+            graph_bytes.append(self._graph_nbytes(out))
+            return out
+
+        monkeypatch.setattr(training, "loss", spy_loss)
+        raw = parse_config_file(CONFIGS / "desk_bch_15_7.cfg")
+        cfg = replace(TrainConfig(**raw), epochs=1, batches_per_epoch=4)
+        tracemalloc.start()
+        try:
+            train(cfg, out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph_bytes) == 4 and min(graph_bytes) > 30e6
+        assert peak <= 1.75 * max(graph_bytes), peak / max(graph_bytes)
+
+
 class TestResume:
     def test_interrupt_and_resume_matches_straight_run_bitwise(self, tmp_path):
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1,
@@ -263,8 +333,7 @@ class TestConfigFile:
                  "fcrossed_mixture.cfg"]
     )
     def test_shipped_configs_parse(self, name):
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "configs" / name
+        path = CONFIGS / name
         cfg = TrainConfig(**parse_config_file(path))
         assert cfg.epochs >= 1 and cfg.codes
 
