@@ -12,55 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, mod2_product
+from .masks import TannerGraph
 
 __all__ = ["TannerGraph", "BpConfig", "bp_decode", "bp_decode_batch"]
 
 _TANH_CLIP = 1.0 - 1e-12
-
-
-class TannerGraph:
-    """Bipartite adjacency of a PCM with padded edge-index tables for
-    vectorized message passing."""
-
-    def __init__(self, h: BinaryMatrix):
-        self.h = h
-        self.m, self.n = h.shape
-        checks, vars_ = np.nonzero(h.bits)
-        self.check_of_edge = checks.astype(np.int64)
-        self.var_of_edge = vars_.astype(np.int64)
-        self.n_edges = len(checks)
-        if self.n_edges != h.popcount():
-            raise AssertionError("edge count mismatch")
-        # check tables are slot-major, (dmax, m), so that the extrinsic
-        # products and minima run over one whole (B, m) slot at a time
-        self._cn_edges, self._cn_pad = (t.T.copy() for t in _padded_groups(self.check_of_edge, self.m))
-        # flat slot-major position of each edge, to gather check messages
-        self._cn_slot = np.empty(self.n_edges, dtype=np.int64)
-        self._cn_slot[self._cn_edges[~self._cn_pad]] = np.flatnonzero(~self._cn_pad)
-        self._vn_edges, self._vn_pad = _padded_groups(self.var_of_edge, self.n)
-
-    def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        """H @ bits mod 2, batched over leading axes."""
-        return mod2_product(bits, self.h.bits.T)
-
-
-def _padded_groups(owner: np.ndarray, groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edge indices grouped by owner in edge order, padded to the max degree.
-
-    Returns (table (groups, dmax) of edge indices, pad mask (True where
-    padding)). Padded slots point at edge 0 and are neutralized by callers.
-    """
-    degs = np.bincount(owner, minlength=groups)
-    dmax = int(degs.max()) if len(degs) else 0
-    order = np.argsort(owner, kind="stable")
-    group = owner[order]
-    slot = np.arange(len(owner)) - (np.cumsum(degs) - degs)[group]
-    table = np.zeros((groups, dmax), dtype=np.int64)
-    pad = np.ones((groups, dmax), dtype=bool)
-    table[group, slot] = order
-    pad[group, slot] = False
-    return table, pad
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import Code
-from .gf2 import mod2_product
+from .masks import tanner_graph
 
 __all__ = [
     "NoiseSpec",
@@ -48,8 +48,8 @@ def hard_decision(y: np.ndarray) -> np.ndarray:
     return (np.asarray(y) < 0).astype(np.uint8)
 
 
-def ebn0_to_sigma(ebn0_db: float, rate: float) -> float:
-    """AWGN noise std-dev for a given Eb/N0 (dB) and code rate."""
+def ebn0_to_sigma(ebn0_db: float | np.ndarray, rate: float) -> float | np.ndarray:
+    """AWGN noise std-dev for a given Eb/N0 (dB, elementwise) and code rate."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     return 1.0 / np.sqrt(2.0 * rate * 10.0 ** (ebn0_db / 10.0))
@@ -125,7 +125,7 @@ class BatchSample:
 
 def syndromes_of(code: Code, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """H_j @ bits mod 2 for every PCM of the code; bits may be (n,) or (B, n)."""
-    return tuple(mod2_product(bits, h.bits.T) for h in code.pcms)
+    return tuple(tanner_graph(h).syndrome(bits) for h in code.pcms)
 
 
 def _derive(code: Code, x: np.ndarray, x_s: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:
@@ -175,7 +175,7 @@ def sample_batch(
         ebn0 = np.full(count, rng.uniform(lo, hi))
     else:
         ebn0 = rng.uniform(lo, hi, size=count)
-    sigma = 1.0 / np.sqrt(2.0 * spec.rate * 10.0 ** (ebn0 / 10.0))
+    sigma = ebn0_to_sigma(ebn0, spec.rate)
     y = x_s + rng.standard_normal((count, n)) * sigma[:, None]
     return _derive(code, x, x_s, y, ebn0)
 

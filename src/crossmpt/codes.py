@@ -26,6 +26,7 @@ from .gf2 import (
     rank,
     stack_rows,
 )
+from .masks import tanner_graph
 
 __all__ = [
     "CodeClass",
@@ -88,7 +89,7 @@ class Code:
 
     def contains(self, word: np.ndarray) -> bool:
         word = np.asarray(word, dtype=np.uint8)
-        return not mod2_product(self.pcm.bits, word).any()
+        return not tanner_graph(self.pcm).syndrome(word).any()
 
     def validate(self) -> None:
         """Check all structural invariants; raises AssertionError on failure."""

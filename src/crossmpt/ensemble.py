@@ -9,15 +9,13 @@ Non-cyclic codes fall back to best-effort diagonalization at each window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .autodiff import Tensor
 from .channel import BatchSample
 from .codes import Code
-from .gf2 import BinaryMatrix, complementary_pcm, diagonalize_at, systematic_form
-from .masks import MaskMatrix, build_crossmpt_masks
+from .gf2 import BinaryMatrix, complementary_pcm, rref, systematic_form
 from .models import DecoderModel, ModelConfig, Variant, foundation_logits
 
 __all__ = ["EnsembleConfig", "build_ensemble", "coverage_report", "crossed_forward", "CrossEDModel"]
@@ -40,11 +38,6 @@ class EnsembleConfig:
     @property
     def p(self) -> int:
         return len(self.pcms)
-
-    @cached_property
-    def branch_masks(self) -> tuple[tuple[MaskMatrix, MaskMatrix], ...]:
-        """The cross-attention masks of every branch PCM, built once per config."""
-        return tuple(build_crossmpt_masks(h) for h in self.pcms)
 
     def branch_code(self) -> Code:
         """The code with its PCM list replaced by the branch PCMs, so channel
@@ -73,8 +66,8 @@ def build_ensemble(
         if code.cyclic:
             pcms.append(complementary_pcm(h_sys, shift))
         else:
-            reduced, _ = diagonalize_at(code.pcm, (shift * m) % code.n)
-            pcms.append(reduced)
+            reduced, _ = rref(code.pcm, start=(shift * m) % code.n)
+            pcms.append(BinaryMatrix(reduced))
     if base is None:
         base = ModelConfig(variant=Variant.FCROSSMPT, n_layers=2, embed_dim=32)
     return EnsembleConfig(code=code, base=base, pcms=tuple(pcms))
@@ -106,7 +99,7 @@ def crossed_forward(
     """
     if len(syndromes) != ens.p:
         raise ValueError(f"got {len(syndromes)} syndromes for {ens.p} branches")
-    return foundation_logits(params, ens.base, ens.branch_masks, mag, list(syndromes), capture)
+    return foundation_logits(params, ens.base, ens.pcms, mag, list(syndromes), capture)
 
 
 class CrossEDModel(DecoderModel):

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erfc
 
-from .bp import BpConfig, TannerGraph, bp_decode_batch
+from .bp import BpConfig, bp_decode_batch
 from .channel import BatchSample, ChannelSample, NoiseSpec, sample_batch
 from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
-from .masks import build_crossmpt_masks, build_ecct_mask
+from .masks import tanner_graph
 from .models import ModelConfig
 from .parallel import one_blas_thread, share_cores
 
@@ -168,7 +168,7 @@ class BpDecoder:
     """Belief propagation over the code's Tanner graph with LLR = 2y/sigma^2."""
 
     def __init__(self, code: Code, cfg: BpConfig):
-        self.graph = TannerGraph(code.pcm)
+        self.graph = tanner_graph(code.pcm)
         self.cfg = cfg
         self.rate = code.rate
         self.name = f"bp_{cfg.algorithm}_{cfg.max_iters}"
@@ -313,8 +313,9 @@ def flops_estimate(cfg: ModelConfig, code: Code, decoder_kind: str) -> int:
     d = cfg.embed_dim
     e = cfg.ffn_expansion
     rows = 2 * n - k
-    h_cross = code.pcm.popcount()
-    h_self = build_ecct_mask(code.pcm).unmasked_count()
+    graph = tanner_graph(code.pcm)
+    h_cross = graph.n_edges
+    h_self = graph.ecct_mask.unmasked_count()
 
     embed = 2 * rows * d  # scalar * vector per position
     per_layer_common = (
@@ -343,10 +344,9 @@ def complexity_report(cfg: ModelConfig, code: Code) -> list[ComplexityRow]:
     """Cross-attention vs self-attention masked-complexity comparison."""
     n, k = code.n, code.k
     m = n - k
-    cross_mask = build_crossmpt_masks(code.pcm)[0]
-    self_mask = build_ecct_mask(code.pcm)
-    h_tilde = cross_mask.unmasked_count()
-    h = self_mask.unmasked_count()
+    graph = tanner_graph(code.pcm)
+    h_tilde = graph.n_edges
+    h = graph.ecct_mask.unmasked_count()
     return [
         ComplexityRow(
             decoder="crossmpt",

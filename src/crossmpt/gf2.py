@@ -14,8 +14,6 @@ __all__ = [
     "null_space",
     "stack_rows",
     "systematic_form",
-    "diagonalize_at",
-    "identity_columns",
     "complementary_pcm",
     "is_cyclic_row_space",
 ]
@@ -102,17 +100,20 @@ def gf2_matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(mod2_product(a.bits, b.bits))
 
 
-def rref(m: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(2).
+def rref(m: BinaryMatrix, start: int = 0) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form over GF(2), scanning columns from `start`.
 
-    Returns (array, pivot_columns). Uses row operations only; column order is
+    Pivots are taken in the column order start, start + 1, ... (wrapping mod
+    cols), so a nonzero start targets the identity block at the window
+    [start, start + rows) as far as row operations allow. Returns (array,
+    pivot_columns in scan order). Uses row operations only; column order is
     never changed.
     """
     a = m.bits.copy()
     nrows, ncols = a.shape
     pivots: list[int] = []
     row = 0
-    for col in range(ncols):
+    for col in ((start + j) % ncols for j in range(ncols)):
         if row == nrows:
             break
         hit = np.nonzero(a[row:, col])[0]
@@ -163,8 +164,7 @@ def systematic_form(h: BinaryMatrix) -> BinaryMatrix:
     """Row-reduce a full-rank PCM toward [I | P] using row operations only.
 
     The row space is preserved exactly. If the leading (rows x rows) block is
-    singular, the result is the best-effort reduced echelon form; use
-    identity_columns() to inspect how much of the identity block was achieved.
+    singular, the result is the best-effort reduced echelon form.
 
     Raises ValueError if h is rank-deficient.
     """
@@ -174,58 +174,12 @@ def systematic_form(h: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(reduced)
 
 
-def identity_columns(m: BinaryMatrix, start: int = 0) -> int:
-    """Count columns of the block starting at `start` that form a clean identity.
-
-    Column start+i counts when it equals the i-th standard basis vector.
-    """
-    count = 0
-    for i in range(min(m.rows, m.cols - start)):
-        col = m.bits[:, start + i]
-        if col[i] == 1 and col.sum() == 1:
-            count += 1
-    return count
-
-
-def diagonalize_at(h: BinaryMatrix, start: int) -> tuple[BinaryMatrix, int]:
-    """Best-effort diagonalization with the identity block targeted at `start`.
-
-    Pivots are chosen first inside the window [start, start + rows) (wrapping
-    mod cols), then wherever possible. Row operations only. Returns the
-    reduced matrix and the achieved identity-column count inside the window.
-    """
-    a = h.bits.copy()
-    nrows, ncols = a.shape
-    order = [(start + j) % ncols for j in range(ncols)]
-    row = 0
-    for col in order:
-        if row == nrows:
-            break
-        hit = np.nonzero(a[row:, col])[0]
-        if hit.size == 0:
-            continue
-        piv = row + int(hit[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        for r in np.nonzero(a[:, col])[0]:
-            if r != row:
-                a[r] ^= a[row]
-        row += 1
-    out = BinaryMatrix(a)
-    achieved = 0
-    for i in range(min(nrows, ncols)):
-        col = out.bits[:, (start + i) % ncols]
-        if col.sum() == 1 and col[i] == 1:
-            achieved += 1
-    return out, achieved
-
-
 def complementary_pcm(h_sys: BinaryMatrix, p: int) -> BinaryMatrix:
     """Cyclic column shift of a systematic PCM placing the identity block at p·(n-k).
 
     Output column j equals input column (j - p*(n-k)) mod n. Only valid as a
     PCM when the underlying code is cyclic; callers on non-cyclic codes must
-    use diagonalize_at() instead.
+    use rref() with a start column instead.
     """
     m, n = h_sys.shape
     limit = -(-n // m) - 1  # ceil(n/m) - 1

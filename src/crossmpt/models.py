@@ -30,12 +30,7 @@ from .autodiff import Tensor
 from .channel import BatchSample, hard_decision, stream_rng
 from .codes import Code
 from .gf2 import BinaryMatrix
-from .masks import (
-    MaskMatrix,
-    build_crossmpt_masks,
-    build_ecct_mask,
-    build_fully_masked_ecct_mask,
-)
+from .masks import MaskMatrix, TannerGraph, tanner_graph
 from .parallel import split_rows
 
 __all__ = [
@@ -169,14 +164,6 @@ def freeze(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: ad.constant(p.data) for k, p in params.items()}
 
 
-def masks_for(cfg: ModelConfig, pcm: BinaryMatrix):
-    if cfg.variant in (Variant.CROSSMPT, Variant.FCROSSMPT):
-        return build_crossmpt_masks(pcm)
-    if cfg.variant is Variant.ECCT:
-        return (build_ecct_mask(pcm),)
-    return (build_fully_masked_ecct_mask(pcm),)
-
-
 def _attention(
     q_in: Tensor,
     kv_in: Tensor,
@@ -300,25 +287,26 @@ def _drop_penultimate(t: Tensor) -> Tensor:
 def _foundation_tower(
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    masks: tuple[MaskMatrix, MaskMatrix],
+    graph: TannerGraph,
     m_t: Tensor,
     s_t: Tensor,
     capture: list | None,
 ) -> Tensor:
     """Run the layer stack, then produce this tower's n x d head contribution:
     norm both streams, resize the syndrome through the PCM transpose, add."""
+    masks = graph.cross_masks
     for i in range(cfg.n_layers):
         m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), masks, cfg, capture)
     m_n = ad.layer_norm(m_t, params["head.norm.gain"], params["head.norm.bias"])
     s_n = ad.layer_norm(s_t, params["head.norm.gain"], params["head.norm.bias"])
-    ht = ad.constant(masks[1].support.T.astype(m_n.dtype))  # H^T as fixed reals
+    ht = ad.constant(graph.ht.astype(m_n.dtype, copy=False))
     return ad.add(m_n, ad.matmul(ht, s_n))
 
 
 def foundation_logits(
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    branch_masks: Sequence[tuple[MaskMatrix, MaskMatrix]],
+    pcms: Sequence[BinaryMatrix],
     mag: np.ndarray,
     syndromes: list[np.ndarray],
     capture: list | None = None,
@@ -326,19 +314,16 @@ def foundation_logits(
     """Shared-weight foundation forward over one or more PCM branches, fused
     by addition before the final shared FC.
 
-    Branch contributions are summed in a canonical order (sorted by mask
-    support bytes), which makes the result exactly invariant to the order the
+    Branch contributions are summed in a canonical order (sorted by PCM
+    bytes), which makes the result exactly invariant to the order the
     branches were listed in.
     """
     n = mag.shape[-1]
-    order = sorted(
-        range(len(branch_masks)),
-        key=lambda j: branch_masks[j][1].support.tobytes(),
-    )
+    order = sorted(range(len(pcms)), key=lambda j: pcms[j].bits.tobytes())
     fused: Tensor | None = None
     for j in order:
         m_t, s_t = _embed_tensors(params, cfg, n, mag, syndromes[j])
-        contrib = _foundation_tower(params, cfg, branch_masks[j], m_t, s_t, capture)
+        contrib = _foundation_tower(params, cfg, tanner_graph(pcms[j]), m_t, s_t, capture)
         fused = contrib if fused is None else ad.add(fused, contrib)
     out = ad.add(ad.matmul(fused, params["head.fc.w"]), params["head.fc.b"])
     return _drop_penultimate(ad.transpose(out))
@@ -350,29 +335,28 @@ def forward_arrays(
     pcm: BinaryMatrix,
     mag: np.ndarray,
     syn: np.ndarray,
-    masks=None,
     capture: list | None = None,
 ) -> Tensor:
     """Logit tensor for magnitude/syndrome arrays of shape (n,)/(n-k,) or
     batched (B, n)/(B, n-k)."""
-    masks = masks_for(cfg, pcm) if masks is None else masks
     if cfg.variant is Variant.FCROSSMPT:
-        return foundation_logits(params, cfg, [masks], mag, [syn], capture)
+        return foundation_logits(params, cfg, [pcm], mag, [syn], capture)
+    graph = tanner_graph(pcm)
+    n = mag.shape[-1]
+    m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
     if cfg.variant is Variant.CROSSMPT:
-        n = mag.shape[-1]
-        m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
+        masks = graph.cross_masks
         for i in range(cfg.n_layers):
             m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), masks, cfg, capture)
         return _head_code_specific(params, ad.concat([m_t, s_t], axis=-2))
     # self-attention variants
-    n = mag.shape[-1]
-    m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
+    mask = graph.ecct_mask if cfg.variant is Variant.ECCT else graph.fully_masked_ecct_mask
     x = ad.concat([m_t, s_t], axis=-2)
     for i in range(cfg.n_layers):
         cap = [] if capture is not None else None
         lp = _layer_params(params, i)
         x_in = _attn_input(x, lp, cfg)
-        x = _block(x, x_in, x_in, lp, masks[0], cfg, cap)
+        x = _block(x, x_in, x_in, lp, mask, cfg, cap)
         if capture is not None:
             capture.append({"self": cap[0]})
     return _head_code_specific(params, x)
@@ -398,7 +382,7 @@ def decide(y: np.ndarray, logits: np.ndarray) -> np.ndarray:
 
 
 class DecoderModel:
-    """A config + code + parameter set bundled with its masks.
+    """A config + code + parameter set; masks come from the code's graph.
 
     infer_only freezes the parameters into constants so forward passes build
     no computation record (fast path for Monte-Carlo evaluation).
@@ -418,12 +402,9 @@ class DecoderModel:
         self.params = params if params is not None else init_params(cfg, code, seed, dtype)
         if infer_only:
             self.params = freeze(self.params)
-        self.masks = masks_for(cfg, code.pcm)
 
     def logits_batch(self, mag: np.ndarray, syn: np.ndarray, capture: list | None = None) -> Tensor:
-        return forward_arrays(
-            self.params, self.cfg, self.code.pcm, mag, syn, masks=self.masks, capture=capture
-        )
+        return forward_arrays(self.params, self.cfg, self.code.pcm, mag, syn, capture)
 
     def _logits(self, batch: BatchSample, rows: slice) -> np.ndarray:
         return self.logits_batch(batch.mag[rows], batch.syndromes[0][rows]).data

@@ -18,7 +18,7 @@ from .channel import NoiseSpec, sample_batch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .codes import Code, get_code
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
-from .models import ModelConfig, Variant, forward_arrays, init_params, masks_for
+from .models import ModelConfig, Variant, forward_arrays, init_params
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
 from .parallel import one_blas_thread
 
@@ -130,7 +130,7 @@ def loss(logits: Tensor, target: np.ndarray) -> Tensor:
 
 
 class _Lane:
-    """Per-code forward closure: sampling code, masks, and logits function."""
+    """Per-code forward closure: sampling code and logits function."""
 
     def __init__(self, train_cfg: TrainConfig, model_cfg: ModelConfig, code: Code):
         self.name = code.name
@@ -140,7 +140,6 @@ class _Lane:
         else:
             self.ens = None
             self.sampling_code = code
-            self.masks = masks_for(model_cfg, code.pcm)
         self.spec = NoiseSpec.for_code(
             self.sampling_code, train_cfg.ebn0_lo, train_cfg.ebn0_hi, seed=train_cfg.seed
         )
@@ -148,10 +147,7 @@ class _Lane:
     def logits(self, params, model_cfg, batch) -> Tensor:
         if self.ens is not None:
             return crossed_forward(params, self.ens, batch.mag, list(batch.syndromes))
-        return forward_arrays(
-            params, model_cfg, self.sampling_code.pcm, batch.mag, batch.syndromes[0],
-            masks=self.masks,
-        )
+        return forward_arrays(params, model_cfg, self.sampling_code.pcm, batch.mag, batch.syndromes[0])
 
 
 def _select_lane(lanes: list[_Lane], cfg: TrainConfig, epoch: int, batch: int) -> _Lane:

@@ -313,11 +313,12 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 
 def ref_gelu(x, g):
-    """GELU and its input gradient, with every constant in x's dtype."""
-    c = x.dtype.type
-    cdf = c(0.5) * (c(1.0) + erf(x * c(1.0 / np.sqrt(2.0))))
-    pdf = c(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(c(-0.5) * x * x)
-    return x * cdf, g * (cdf + x * pdf)
+    """GELU and its input gradient, computed in float64 and rounded to x's
+    dtype: in float32, `1 + erf` cancels in the negative tail."""
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x64 * x64)
+    return (x64 * cdf).astype(x.dtype), (g * (cdf + x64 * pdf)).astype(x.dtype)
 
 
 def ref_matmul_grads(a, b, g):

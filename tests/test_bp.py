@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossmpt.bp import BpConfig, TannerGraph, _padded_groups, bp_decode, bp_decode_batch
+from crossmpt.bp import BpConfig, TannerGraph, bp_decode, bp_decode_batch
 from crossmpt.channel import NoiseSpec, ebn0_to_sigma, modulate, sample_batch
 from crossmpt.codes import get_code, list_codes
 from crossmpt.gf2 import BinaryMatrix
+from crossmpt.masks import _padded_groups
 
 # Frozen reference: the full-batch decoder that every frame iterates in until
 # the whole batch has converged, with its per-edge table loop, last-axis

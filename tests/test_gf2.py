@@ -7,14 +7,13 @@ from crossmpt.codes import get_code
 from crossmpt.gf2 import (
     BinaryMatrix,
     complementary_pcm,
-    diagonalize_at,
     gf2_matmul,
     identity,
-    identity_columns,
     is_cyclic_row_space,
     mod2_product,
     null_space,
     rank,
+    rref,
     stack_rows,
     systematic_form,
 )
@@ -158,16 +157,21 @@ class TestNullSpaceAndRank:
         assert rank(identity(6)) == 6
 
 
-class TestDiagonalizeAt:
+class TestRrefWindow:
     def test_window_identity_on_cyclic_code(self):
+        # any n-k cyclically consecutive columns of a cyclic code's PCM are
+        # independent, so every window, wrapped or not, reaches the identity
         h = get_code("bch_31_21").pcm
-        reduced, achieved = diagonalize_at(h, 10)
-        assert achieved == 10
-        assert rank(stack_rows(reduced, h)) == 10
+        for start in (10, 25):
+            reduced, pivots = rref(h, start=start)
+            window = [(start + i) % h.cols for i in range(h.rows)]
+            assert pivots == window
+            assert np.array_equal(reduced[:, window], np.eye(h.rows, dtype=np.uint8))
+            assert rank(stack_rows(BinaryMatrix(reduced), h)) == h.rows
 
-    def test_identity_columns_counter(self):
+    def test_systematic_form_has_leading_identity(self):
         h = systematic_form(get_code("bch_31_21").pcm)
-        assert identity_columns(h, 0) == 10
+        assert np.array_equal(h.bits[:, :10], np.eye(10, dtype=np.uint8))
 
 
 class TestCyclicDetection:

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+from crossmpt.bp import BpConfig
+from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.codes import get_code, list_codes
+from crossmpt.ensemble import CrossEDModel, build_ensemble
+from crossmpt.evaluation import BpDecoder, complexity_report
 from crossmpt.gf2 import BinaryMatrix
 from crossmpt.masks import (
     NEG_INF,
+    TannerGraph,
     build_crossmpt_masks,
     build_ecct_mask,
     build_fully_masked_ecct_mask,
-    mask_from_binary,
+    tanner_graph,
 )
+from crossmpt.models import DecoderModel, ModelConfig, Variant
 
 
 class TestCrossMasks:
@@ -107,5 +113,42 @@ class TestDensityOrdering:
 
     def test_density_in_unit_interval(self, toy_pcms):
         for h in toy_pcms:
-            mask = mask_from_binary(BinaryMatrix(h))
-            assert 0 < mask.density <= 1
+            for mask in build_crossmpt_masks(BinaryMatrix(h)):
+                assert 0 < mask.density <= 1
+
+
+class TestTannerGraphCache:
+    def test_one_graph_per_distinct_pcm(self, monkeypatch):
+        built = []
+        init = TannerGraph.__init__
+
+        def counted(self, h):
+            built.append(h)
+            init(self, h)
+
+        monkeypatch.setattr(TannerGraph, "__init__", counted)
+        tanner_graph.cache_clear()
+        code = get_code("bch_31_21")
+        small = dict(n_layers=1, embed_dim=8)
+        models = [
+            DecoderModel(ModelConfig(variant=Variant.CROSSMPT, **small), code, seed=1),
+            DecoderModel(ModelConfig(variant=Variant.ECCT, **small), code, seed=2),
+        ]
+        ens = build_ensemble(code, 3, base=ModelConfig(variant=Variant.FCROSSMPT, **small))
+        crossed = CrossEDModel(ens, seed=3)
+        bp = BpDecoder(code, BpConfig(max_iters=5))
+        complexity_report(ModelConfig(**small), code)
+        spec = NoiseSpec.for_code(code, 4.0, seed=4)
+        batch = sample_batch(ens.branch_code(), spec, 2)
+        for _ in range(4):
+            for model in models:
+                model.logits_batch(batch.mag, batch.syndromes[0])
+            crossed.logits_batch(batch.mag, list(batch.syndromes))
+            bp.decode_batch(batch)
+
+        distinct = {code.pcm, *ens.pcms}
+        assert len(built) == len(set(built)) == len(distinct)
+        assert set(built) == distinct
+        for h in distinct:
+            assert tanner_graph(BinaryMatrix(h.bits)) is tanner_graph(h)
+        assert bp.graph is tanner_graph(code.pcm)

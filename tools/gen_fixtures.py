@@ -19,6 +19,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from crossmpt.codes import dense_text_dumps
 from crossmpt.gf2 import (
     BinaryMatrix,
     gf2_matmul,
@@ -166,13 +167,6 @@ def qc_ldpc(circ: int, shift_sets: list[tuple[int, ...]]) -> BinaryMatrix:
     return BinaryMatrix(np.hstack(blocks))
 
 
-def write_dense(path: Path, h: BinaryMatrix) -> None:
-    lines = [f"{h.rows} {h.cols}"]
-    for row in h.bits:
-        lines.append(" ".join(str(int(b)) for b in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def validate(name: str, h: BinaryMatrix, n: int, k: int, expect_cyclic: bool) -> None:
     assert h.shape == (n - k, n), f"{name}: shape {h.shape} != {(n-k, n)}"
     assert rank(h) == n - k, f"{name}: rank deficient"
@@ -212,7 +206,7 @@ def main() -> None:
     print("validating and writing fixtures:")
     for name, h, n, k, cyc in specs:
         validate(name, h, n, k, cyc)
-        write_dense(DATA_DIR / f"{name}.txt", h)
+        (DATA_DIR / f"{name}.txt").write_text(dense_text_dumps(h))
     print(f"wrote {len(specs)} files to {DATA_DIR}")
 
 
