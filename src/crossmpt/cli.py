@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bp import BpConfig
 from .channel import NoiseSpec, _derive, modulate, sample
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .codes import get_code, list_codes, load_code, registry_hash
 from .ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report
 from .evaluation import (
@@ -36,9 +36,22 @@ from .evaluation import (
     write_bitwise_csv,
 )
 from .models import DecoderModel, ModelConfig, Variant
-from .training import NumericFailure, TrainConfig, coerce_config, parse_config_file, train
+from .training import (
+    ConfigMismatchError,
+    NumericFailure,
+    TrainConfig,
+    coerce_config,
+    parse_config_file,
+    train,
+)
 
 DEFAULT_OUT_ROOT = os.environ.get("CROSSMPT_OUT", "runs")
+
+
+class ConfigError(click.ClickException):
+    """A configuration error: a one-line message and exit code 2."""
+
+    exit_code = 2
 
 
 def _out_dir(out: str | None, tag: str) -> Path:
@@ -61,7 +74,10 @@ def _write_manifest(out: Path, command: str, config: dict, codes: list[str], see
 
 def _resolve_code(name: str | None, pcm_file: str | None):
     if pcm_file:
-        return load_code(pcm_file)
+        try:
+            return load_code(pcm_file)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --pcm-file {pcm_file}: {exc}") from exc
     if not name:
         raise click.UsageError("a code is required (--code NAME or --pcm-file PATH)")
     try:
@@ -97,6 +113,8 @@ def codes_list() -> None:
 def codes_validate(name: str | None) -> None:
     names = [name] if name else list_codes()
     for nm in names:
+        if nm not in list_codes():
+            raise ConfigError(f"unknown code {nm!r}")
         code = get_code(nm)
         code.validate()
         click.echo(f"{nm}: ok (rank {code.n - code.k}, G H^T = 0)")
@@ -134,7 +152,10 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
     """Train a decoder; writes checkpoint, training_log.csv, and manifest."""
     settings: dict = {}
     if config_file:
-        settings.update(parse_config_file(config_file))
+        try:
+            settings.update(parse_config_file(config_file))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --config {config_file}: {exc}") from exc
     if profile:
         settings.update(_PROFILES[profile])
     settings["variant"] = variant
@@ -154,6 +175,8 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
     for nm in cfg.codes:
         if nm not in list_codes():
             raise click.UsageError(f"unknown code {nm!r}")
+    if resume_from is not None and not Path(resume_from).is_file():
+        raise ConfigError(f"cannot resume: no checkpoint file {resume_from}")
 
     out_path = _out_dir(out, f"train_{'_'.join(cfg.codes)}_{cfg.variant}")
     try:
@@ -161,6 +184,8 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
     except NumericFailure as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
+    except (CheckpointError, ConfigMismatchError) as exc:
+        raise ConfigError(f"cannot resume from {resume_from}: {exc}") from exc
     report_payload = {
         "epoch_losses": report.epoch_losses,
         "lr_trace": report.lr_trace,
@@ -179,7 +204,10 @@ def _decoder_from_checkpoint(path: str, code):
     """A decoder for `code` from a checkpoint. A stored code matches `code`
     only when both the name and the PCM are equal; a `--pcm-file` code whose
     file stem names a stored code but whose PCM differs is an unseen code."""
-    ck = load_checkpoint(path)
+    try:
+        ck = load_checkpoint(path)
+    except (OSError, CheckpointError) as exc:
+        raise ConfigError(f"cannot load --checkpoint {path}: {exc}") from exc
     cfg = ck.model_cfg
     trained = ck.codes.get(code.name)
     same_pcm = trained is not None and trained.pcm == code.pcm
@@ -223,6 +251,8 @@ def _decoder_from_checkpoint(path: str, code):
 def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algorithm,
              min_errors, max_bits, policy, seed, workers, bitwise, out) -> None:
     """Monte-Carlo BER/FER estimation; writes ber_report.csv."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     code = _resolve_code(code_name, pcm_file)
     if (checkpoint is None) == (decoder_kind is None):
         raise click.UsageError("pass exactly one of --checkpoint or --decoder")
@@ -324,8 +354,19 @@ def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
 @click.option("--out", default=None)
 def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out) -> None:
     """Write per-layer attention maps and vertical sums as CSV files."""
+    layer_range = None
+    if layers:
+        lo, _, hi = layers.partition("..")
+        try:
+            layer_range = (int(lo), int(hi or lo))
+        except ValueError:
+            pass
+        if layer_range is None or not 1 <= layer_range[0] <= layer_range[1]:
+            raise ConfigError(f"--layers {layers!r} is not a range lo..hi with 1 <= lo <= hi")
     code = _resolve_code(code_name, None)
     decoder = _decoder_from_checkpoint(checkpoint, code)
+    if layer_range is not None and layer_range[1] > decoder.cfg.n_layers:
+        raise ConfigError(f"--layers {layers!r} beyond the model's {decoder.cfg.n_layers} layers")
     if flip_bit is not None:
         if not 0 <= flip_bit < code.n:
             raise click.UsageError(f"--flip-bit {flip_bit} outside 0..{code.n - 1}")
@@ -335,10 +376,6 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
         smp = _derive(decoder.code, x, modulate(x), y, np.array([np.inf])).row(0)
     else:
         smp = sample(decoder.code, NoiseSpec.for_code(decoder.code, ebn0, seed=seed), policy="all_zero")
-    layer_range = None
-    if layers:
-        lo, _, hi = layers.partition("..")
-        layer_range = (int(lo), int(hi or lo))
     dumps = dump_attention(decoder, smp, layer_range)
     out_path = _out_dir(out, f"attention_{code.name}")
     artifacts = []

@@ -11,8 +11,6 @@ worker count.
 from __future__ import annotations
 
 import csv
-import ctypes
-import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +24,7 @@ from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
 from .models import ModelConfig
-from .parallel import one_blas_thread, share_cores
+from .parallel import keep_freed_heap, one_blas_thread, share_cores
 
 __all__ = [
     "StopRule",
@@ -49,10 +47,6 @@ __all__ = [
 
 _TAG_EVAL = 3
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-# glibc mallopt (param, value) pairs for evaluation: M_MMAP_THRESHOLD (-3) at
-# 32 MiB, the largest value 64-bit glibc accepts, and M_TRIM_THRESHOLD (-1)
-_HEAP_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
 
 # Published mask densities (percent) for bundled codes, (cross, self) pairs,
 # used by the analyzer to flag reconstruction discrepancies.
@@ -182,26 +176,6 @@ class BpDecoder:
         return out
 
 
-def _keep_freed_heap() -> None:
-    """Keep freed heap memory in the process (glibc only; idempotent).
-
-    By default glibc serves each multi-MB numpy temporary with its own mmap
-    and returns it to the kernel when it is freed, so the next chunk of an
-    evaluation faults the same pages in again. Setting both thresholds
-    freezes glibc's dynamic ones: temporaries up to 32 MiB come from the heap,
-    and up to 256 MiB of free heap top stays mapped for reuse. No arithmetic
-    changes.
-    """
-    if platform.libc_ver()[0] != "glibc":
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in _HEAP_POLICY:
-        if mallopt(param, value) != 1:
-            raise OSError(f"mallopt({param}, {value}) failed")
-
-
 def _decode_chunk(
     decoder, code: Code, policy: str, spec: NoiseSpec, count: int, stream
 ) -> tuple[int, np.ndarray, int]:
@@ -219,7 +193,7 @@ _worker_state: tuple = ()  # (decoder, code, policy), set once per pool worker
 
 def _init_worker(decoder, code: Code, policy: str, workers: int) -> None:
     global _worker_state
-    _keep_freed_heap()
+    keep_freed_heap()
     share_cores(workers)
     _worker_state = (decoder, code, policy)
 
@@ -249,7 +223,7 @@ def estimate_ber(
     chunk's rows over the cores, which the workers share out; OpenBLAS runs
     on one thread for the duration of the call.
     """
-    _keep_freed_heap()
+    keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
     pool = None
     if workers > 1:

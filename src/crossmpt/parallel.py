@@ -1,5 +1,6 @@
-"""Thread use of training and evaluation: OpenBLAS pinned to one thread, and
-a decode batch split by rows over the process's cores.
+"""Thread and heap use of training and evaluation: OpenBLAS pinned to one
+thread, freed heap memory kept in the process, and a decode batch split by
+rows over the process's cores.
 
 Every primitive computes a frame's values from that frame's rows alone, so a
 batch decoded in contiguous row slices, one slice per thread, gives bitwise
@@ -12,12 +13,17 @@ import contextlib
 import ctypes
 import functools
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["one_blas_thread", "share_cores", "split_rows"]
+__all__ = ["keep_freed_heap", "one_blas_thread", "share_cores", "split_rows"]
+
+# glibc mallopt (param, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the
+# largest value 64-bit glibc accepts, and M_TRIM_THRESHOLD (-1)
+_HEAP_POLICY = ((-3, 32 * 1024 * 1024), (-1, 256 * 1024 * 1024))
 
 
 @functools.cache
@@ -59,6 +65,27 @@ def one_blas_thread():
         put(before)
 
 
+def keep_freed_heap() -> None:
+    """Keep freed heap memory in the process (glibc only; idempotent).
+
+    By default glibc serves each multi-MB numpy temporary with its own mmap
+    and returns it to the kernel when it is freed, and trims the top of the
+    heap as soon as enough of it is free, so the next evaluation chunk or
+    training step faults the same pages in again. Setting both thresholds
+    freezes glibc's dynamic ones: temporaries up to 32 MiB come from the heap,
+    and up to 256 MiB of free heap top stays mapped for reuse. No arithmetic
+    changes.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_POLICY:
+        if mallopt(param, value) != 1:
+            raise OSError(f"mallopt({param}, {value}) failed")
+
+
 def _cores() -> int:
     """Cores this process may run on."""
     return len(os.sched_getaffinity(0))
@@ -80,9 +107,13 @@ _helpers: tuple[int, int, ThreadPoolExecutor] | None = None
 
 
 def _helper_pool(size: int) -> ThreadPoolExecutor:
+    """A pool of at least `size` helper threads; a smaller pool of this
+    process is shut down when it is replaced, so its idle threads end."""
     global _helpers
     pid = os.getpid()
     if _helpers is None or _helpers[0] != pid or _helpers[1] < size:
+        if _helpers is not None and _helpers[0] == pid:
+            _helpers[2].shutdown()
         _helpers = (pid, size, ThreadPoolExecutor(size, thread_name_prefix="crossmpt-rows"))
     return _helpers[2]
 

@@ -20,7 +20,7 @@ from .codes import Code, get_code
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
-from .parallel import one_blas_thread
+from .parallel import keep_freed_heap, one_blas_thread
 
 __all__ = [
     "TrainConfig",
@@ -184,8 +184,10 @@ def train(
     run interrupted at any epoch boundary and resumed from its checkpoint
     reproduces the uninterrupted trajectory bitwise. Raises NumericFailure at
     the step where the loss or the pre-clip gradient norm leaves the finite
-    range. OpenBLAS runs on one thread for the duration of the call.
+    range. OpenBLAS runs on one thread for the duration of the call, and
+    freed heap memory stays in the process (`keep_freed_heap`).
     """
+    keep_freed_heap()
     started = time.perf_counter()
     codes = [get_code(name) for name in cfg.codes]
     model_cfg = cfg.model_config()

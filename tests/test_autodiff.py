@@ -402,6 +402,8 @@ class TestGradientAliasing:
 
     @staticmethod
     def _graph():
+        """A small graph over every shape-only primitive; returns the output,
+        the graph's nodes, the leaf tensors and an interior tensor."""
         rng = np.random.default_rng(11)
         x = ad.parameter(rand(rng, 2, 3, 4))
         w = ad.parameter(rand(rng, 4, 4))
@@ -410,18 +412,18 @@ class TestGradientAliasing:
         u = ad.concat([h, ad.narrow(x, 1, 3, axis=-1)], axis=-1)
         v = ad.reshape(ad.transpose(u), (2, 18))
         out = ad.reduce_sum(ad.mul(ad.gelu(v), ad.neg(v)))
-        nodes, stack = [], [out]
+        nodes, stack = [], [out._node]
         while stack:
             node = stack.pop()
             if all(node is not seen for seen in nodes):
                 nodes.append(node)
-                stack.extend(node._parents)
-        return out, nodes
+                stack.extend(node.parents)
+        return out, nodes, (x, w, b), h
 
     def test_no_two_tensors_share_gradient_memory(self):
         # interior gradients are freed after use, so record each one as
         # backward hands it to its node's closure
-        out, nodes = self._graph()
+        out, nodes, _, _ = self._graph()
         grads = []
 
         def recording(closure):
@@ -431,26 +433,33 @@ class TestGradientAliasing:
             return backward
 
         for node in nodes:
-            if node._backward is not None:
-                node._backward = recording(node._backward)
+            if node.backward is not None:
+                node.backward = recording(node.backward)
         out.backward()
-        grads += [n.grad for n in nodes if not n._parents and n.grad is not None]
+        grads += [n.grad for n in nodes if not n.parents and n.grad is not None]
         assert len(grads) >= 8
         for i, gi in enumerate(grads):
             for gj in grads[i + 1:]:
                 assert not np.shares_memory(gi, gj)
 
     def test_backward_keeps_only_leaf_gradients(self):
-        out, nodes = self._graph()
+        out, nodes, leaves, h = self._graph()
         out.backward()
-        interior = [n for n in nodes if n._parents]
-        leaves = [n for n in nodes if not n._parents]
-        assert len(interior) >= 8 and len(leaves) == 3
-        assert all(n.grad is None for n in interior)
-        assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
-        used = next(n for n in interior if n is not out)
+        interior = [n for n in nodes if n.parents]
+        assert len(interior) >= 8
+        assert {id(n) for n in nodes if not n.parents} == {id(t._node) for t in leaves}
+        assert all(n.grad is None and n.backward is None for n in interior)
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in leaves)
+        assert h.grad is None
         with pytest.raises(RuntimeError, match="already consumed"):
-            ad.reduce_sum(ad.scale(used, 2.0)).backward()
+            ad.reduce_sum(ad.scale(h, 2.0)).backward()
+
+    def test_untracked_results_build_no_node(self):
+        a = ad.constant(np.ones((2, 3)))
+        out = ad.gelu(ad.matmul(a, ad.transpose(a)))
+        assert out._node is None and out._backward is None and out.grad is None
+        with pytest.raises(RuntimeError, match="records no computation"):
+            ad.reduce_sum(out).backward()
 
     def test_full_axis_narrow_records_no_node(self):
         x = ad.parameter(np.arange(6.0).reshape(2, 3))

@@ -308,6 +308,78 @@ class TestDumpAttentionCommand:
         assert result.exit_code == 2
 
 
+class TestConfigurationErrorsExit2:
+    """A configuration error exits 2 with one line naming the cause, not a
+    traceback."""
+
+    @staticmethod
+    def assert_config_error(result, cause):
+        assert result.exit_code == 2, (result.exit_code, result.output, result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and cause in errors[0], result.output
+        assert "Traceback" not in result.output
+
+    def test_validate_unknown_code(self, runner):
+        result = runner.invoke(main, ["codes", "validate", "--code", "nope"])
+        self.assert_config_error(result, "nope")
+
+    def test_eval_missing_checkpoint(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "eval", "--checkpoint", str(tmp_path / "missing.npz"), "--code", "bch_15_7",
+            "--ebn0", "4", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "missing.npz")
+
+    def test_dump_attention_missing_checkpoint(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "dump-attention", "--checkpoint", str(tmp_path / "missing.npz"),
+            "--code", "bch_15_7", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "missing.npz")
+
+    def test_analyze_missing_pcm_file(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "analyze", "--pcm-file", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o"),
+        ])
+        self.assert_config_error(result, "missing.txt")
+
+    def test_eval_zero_workers(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--max-bits", "700",
+            "--workers", "0", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--workers")
+
+    def test_train_missing_config_file(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", "--config", str(tmp_path / "missing.cfg")])
+        self.assert_config_error(result, "missing.cfg")
+
+    def test_train_resume_from_missing_checkpoint(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8",
+            "--resume", str(tmp_path / "missing.npz"), "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "missing.npz")
+
+    def test_train_resume_with_changed_config(self, runner, tmp_path):
+        args = ["train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8",
+                "--epochs", "1", "--batches-per-epoch", "1", "--batch-size", "4"]
+        invoke(runner, *args, "--out", tmp_path / "first")
+        result = runner.invoke(main, args[:-1] + [
+            "8", "--resume", str(tmp_path / "first" / "checkpoint_final.npz"),
+            "--out", str(tmp_path / "second"),
+        ])
+        self.assert_config_error(result, "batch_size")
+
+    @pytest.mark.parametrize("layers", ["one..two", "2..1", "0..1", "2..3"])
+    def test_dump_attention_malformed_layers(self, runner, tmp_path, tiny_checkpoint, layers):
+        result = runner.invoke(main, [
+            "dump-attention", "--checkpoint", str(tiny_checkpoint), "--code", "ldpc_32_16",
+            "--layers", layers, "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--layers")
+
+
 class TestBuildEnsembleCommand:
     def test_bch_31_21_p3(self, runner, tmp_path):
         out = tmp_path / "ens"

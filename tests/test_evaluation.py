@@ -122,9 +122,9 @@ class TestEstimateBer:
         def no_libc(*_args):
             raise AssertionError("libc must not be loaded off glibc")
 
-        monkeypatch.setattr(evaluation.platform, "libc_ver", lambda: ("", ""))
-        monkeypatch.setattr(evaluation.ctypes, "CDLL", no_libc)
-        evaluation._keep_freed_heap()
+        monkeypatch.setattr(parallel.platform, "libc_ver", lambda: ("", ""))
+        monkeypatch.setattr(parallel.ctypes, "CDLL", no_libc)
+        parallel.keep_freed_heap()
 
     def test_counts_and_csv_equal_for_any_thread_and_worker_count(self, monkeypatch, tmp_path):
         # each workers=1 call runs first and leaves helper threads behind; the

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
 from crossmpt.channel import NoiseSpec, make_invariance_pair, sample, sample_batch
 from crossmpt.codes import _code_from_pcm, get_code
+from crossmpt.bp import BpConfig
 from crossmpt.ensemble import CrossEDModel, build_ensemble
+from crossmpt.evaluation import BpDecoder
 from crossmpt.gf2 import BinaryMatrix, rank
 from crossmpt.masks import build_crossmpt_masks
 from crossmpt.models import (
@@ -442,3 +445,89 @@ class TestCodewordInvarianceOnRandomCodes:
             ref = model.logits_batch(base.mag[None, :], base.syndromes[0][None, :]).data
             out = model.logits_batch(other.mag[None, :], other.syndromes[0][None, :]).data
             assert out.tobytes() == ref.tobytes(), variant
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    def test_unread_outputs_die_in_the_forward_pass(self, monkeypatch):
+        # no backward closure reads a matmul output that feeds only a bias
+        # add, or a residual sum: both are dead as soon as the forward pass
+        # drops its handles, while the graph is still alive. gelu's input and
+        # the attention weights, which closures saved, live until backward
+        # has used them.
+        code = get_code("bch_15_7")
+        params = init_params(small_cfg(Variant.CROSSMPT, n_layers=2, d=16), code, seed=3)
+        param_ids = {id(p) for p in params.values()}
+        real_matmul, real_add = ad.matmul, ad.add
+        real_gelu, real_softmax = ad.gelu, ad.masked_softmax
+        last_matmul = [lambda: None]
+        before_bias, residual, saved = [], [], []
+
+        def matmul(a, b):
+            out = real_matmul(a, b)
+            last_matmul[0] = weakref.ref(out.data)
+            return out
+
+        def add(a, b):
+            out = real_add(a, b)
+            if id(b) in param_ids and a.data is last_matmul[0]():
+                before_bias.append(weakref.ref(a.data))
+            elif id(a) not in param_ids and id(b) not in param_ids:
+                residual.append(weakref.ref(out.data))
+            return out
+
+        def gelu(t):
+            saved.append(weakref.ref(t.data))
+            return real_gelu(t)
+
+        def masked_softmax(logits, mask):
+            out = real_softmax(logits, mask)
+            saved.append(weakref.ref(out.data))
+            return out
+
+        for name, spy in (("matmul", matmul), ("add", add), ("gelu", gelu),
+                          ("masked_softmax", masked_softmax)):
+            monkeypatch.setattr(ad, name, spy)
+        cfg = small_cfg(Variant.CROSSMPT, n_layers=2, d=16)
+        batch = sample_batch(code, NoiseSpec.for_code(code, 4.0, seed=4), 8, policy="random")
+        logits = forward_arrays(params, cfg, code.pcm, batch.mag, batch.syndromes[0])
+        # per block two bias adds and two residual sums, plus the head's two
+        assert len(before_bias) == 10 and len(residual) == 8 and len(saved) == 8
+        assert all(ref() is None for ref in before_bias + residual)
+        assert all(ref() is not None for ref in saved)
+        loss(logits, batch.target).backward()
+        assert all(ref() is None for ref in saved)
+
+
+class TestDecodeBuildsNoGraph:
+    @staticmethod
+    def _decoders():
+        code = get_code("bch_15_7")
+        for variant in Variant:
+            yield variant.value, code, DecoderModel(small_cfg(variant), code, seed=5,
+                                                    infer_only=True)
+        ens = build_ensemble(code, 2, base=small_cfg(Variant.FCROSSMPT))
+        yield "crossed_p2", ens.branch_code(), CrossEDModel(ens, seed=5, infer_only=True)
+        yield "bp", code, BpDecoder(code, BpConfig(max_iters=5))
+
+    def test_decode_batch_constructs_no_node(self, monkeypatch):
+        # frozen decoders and BP pay nothing for the autodiff graph
+        built = []
+        real_init = ad._Node.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        decoders = list(self._decoders())
+        monkeypatch.setattr(ad._Node, "__init__", counting_init)
+        counts = {}
+        for name, code, decoder in decoders:
+            batch = sample_batch(code, NoiseSpec.for_code(code, 3.0, seed=6), 16, policy="random")
+            before = len(built)
+            assert decoder.decode_batch(batch).shape == (16, code.n)
+            counts[name] = len(built) - before
+        assert len(counts) == 6 and set(counts.values()) == {0}, counts
+        # the counter sees the nodes of a trainable model's forward pass
+        before = len(built)
+        DecoderModel(small_cfg(Variant.CROSSMPT), code, seed=5).decode_batch(batch)
+        assert len(built) - before > 100
