@@ -175,22 +175,6 @@ class Tensor:
             node.grad = node.backward = None
         root.done = True
 
-    # operator sugar
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 

@@ -150,13 +150,12 @@ def sample_batch(
     count: int,
     policy: str = "all_zero",
     stream: tuple[int, ...] = (0,),
-    per_batch_ebn0: bool = False,
 ) -> BatchSample:
     """Draw `count` independent transmissions.
 
     policy "all_zero" transmits the zero codeword; "random" draws uniform
-    messages and encodes them. Eb/N0 is drawn uniformly in dB per sample (or
-    once per batch with per_batch_ebn0), then mapped to sigma via the rate.
+    messages and encodes them. Eb/N0 is drawn uniformly in dB per sample,
+    then mapped to sigma via the rate.
     """
     rng = stream_rng(spec.seed, *stream)
     n = code.n
@@ -171,8 +170,6 @@ def sample_batch(
     lo, hi = spec.ebn0_range_db
     if lo == hi:
         ebn0 = np.full(count, lo)
-    elif per_batch_ebn0:
-        ebn0 = np.full(count, rng.uniform(lo, hi))
     else:
         ebn0 = rng.uniform(lo, hi, size=count)
     sigma = ebn0_to_sigma(ebn0, spec.rate)

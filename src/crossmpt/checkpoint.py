@@ -6,6 +6,11 @@ float arrays for every parameter, optional Adam state, and the PCM of every
 referenced code so decoding is possible without the registry. Round-trips
 are exact. Writes go through a temporary file that replaces the target only
 once it is complete, so an interrupted save never leaves a truncated archive.
+
+Headers written before a setting was removed from the program still load
+when they hold the one value the program still implements (`RETIRED_KEYS`);
+any other value is refused, so a checkpoint never decodes or resumes under
+behaviour it was not trained with.
 """
 
 from __future__ import annotations
@@ -13,14 +18,14 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .codes import Code, CodeClass
+from .codes import Code, CodeClass, CodeFormatError, _code_from_pcm, get_code, list_codes
 from .gf2 import BinaryMatrix
 from .models import ModelConfig, Variant
 from .optim import AdamState
@@ -30,31 +35,36 @@ VERSION = 1
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "CheckpointError"]
 
+# Removed settings, each with the one value the program still implements:
+# layers are pre-norm, Eb/N0 is drawn per sample, mixtures draw codes
+# uniformly. Keys of the header's "model" and "train_cfg" sections.
+RETIRED_KEYS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform"}
+
 
 class CheckpointError(ValueError):
     """Version/format problems or config mismatches on load."""
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "variant": cfg.variant.value,
-        "n_layers": cfg.n_layers,
-        "embed_dim": cfg.embed_dim,
-        "heads": cfg.heads,
-        "ffn_expansion": cfg.ffn_expansion,
-        "norm_order": cfg.norm_order,
-    }
+    return {**asdict(cfg), "variant": cfg.variant.value}
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=Variant(d["variant"]),
-        n_layers=int(d["n_layers"]),
-        embed_dim=int(d["embed_dim"]),
-        heads=int(d["heads"]),
-        ffn_expansion=int(d["ffn_expansion"]),
-        norm_order=d["norm_order"],
-    )
+    values = {f.name: d[f.name] for f in fields(ModelConfig)}
+    return ModelConfig(**{**values, "variant": Variant(d["variant"])})
+
+
+def _drop_retired_keys(header: dict) -> None:
+    """Remove retired settings from the header; raise on a value other than
+    the one the program still implements."""
+    for section in (header["model"], header.get("train_cfg") or {}):
+        for key, allowed in RETIRED_KEYS.items():
+            value = section.pop(key, allowed)
+            if value != allowed:
+                raise CheckpointError(
+                    f"checkpoint sets the removed setting {key} = {value!r}; "
+                    f"this version implements only {key} = {allowed!r}"
+                )
 
 
 @dataclass
@@ -133,9 +143,6 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    from .gf2 import null_space, rank
-    from .codes import get_code, list_codes
-
     with np.load(Path(path), allow_pickle=False) as archive:
         if "__header__" not in archive:
             raise CheckpointError("not a checkpoint file (missing header)")
@@ -146,6 +153,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(
                 f"checkpoint version {header.get('version')} unsupported (expected {VERSION})"
             )
+        _drop_retired_keys(header)
         params: dict[str, Tensor] = {}
         adam_m: dict[str, np.ndarray] = {}
         adam_v: dict[str, np.ndarray] = {}
@@ -178,17 +186,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     "the checkpoint was trained on another matrix"
                 )
         else:
-            h = pcm_by_name[name]
-            codes[name] = Code(
-                name=name,
-                n=h.cols,
-                k=h.cols - h.rows,
-                generator=null_space(h),
-                pcms=(h,),
-                code_class=CodeClass(meta["class"]),
-            )
-        if rank(pcm_by_name[name]) != codes[name].n - codes[name].k:
-            raise CheckpointError(f"stored PCM for {name} is rank-deficient")
+            try:
+                codes[name] = _code_from_pcm(pcm_by_name[name], name, CodeClass(meta["class"]))
+            except CodeFormatError as exc:
+                raise CheckpointError(f"stored PCM for {name}: {exc}") from exc
 
     branch_pcms = [branch[i] for i in sorted(branch)]
     return Checkpoint(header=header, params=params, adam=adam, codes=codes, branch_pcms=branch_pcms)

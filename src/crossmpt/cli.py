@@ -175,6 +175,11 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
     for nm in cfg.codes:
         if nm not in list_codes():
             raise click.UsageError(f"unknown code {nm!r}")
+        if cfg.is_ensemble:
+            try:
+                build_ensemble(get_code(nm), cfg.p)
+            except ValueError as exc:
+                raise click.UsageError(f"invalid training config: {exc}") from exc
     if resume_from is not None and not Path(resume_from).is_file():
         raise ConfigError(f"cannot resume: no checkpoint file {resume_from}")
 
@@ -239,20 +244,18 @@ def _decoder_from_checkpoint(path: str, code):
 @click.option("--decoder", "decoder_kind", default=None,
               type=click.Choice(["bp", "uncoded"]), help="non-neural baseline")
 @click.option("--ebn0", default="4", help="comma-separated Eb/N0 list in dB")
-@click.option("--iters", type=int, default=20, help="BP iterations")
+@click.option("--iters", type=click.IntRange(min=1), default=20, help="BP iterations")
 @click.option("--bp-algorithm", type=click.Choice(["sum_product", "min_sum"]), default="sum_product")
 @click.option("--min-errors", type=int, default=100)
 @click.option("--max-bits", type=int, default=10_000_000)
 @click.option("--policy", type=click.Choice(["random", "all_zero"]), default="random")
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=int, default=1)
+@click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--bitwise/--no-bitwise", default=False, help="also write bitwise.csv")
 @click.option("--out", default=None)
 def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algorithm,
              min_errors, max_bits, policy, seed, workers, bitwise, out) -> None:
     """Monte-Carlo BER/FER estimation; writes ber_report.csv."""
-    if workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {workers}")
     code = _resolve_code(code_name, pcm_file)
     if (checkpoint is None) == (decoder_kind is None):
         raise click.UsageError("pass exactly one of --checkpoint or --decoder")
@@ -301,8 +304,8 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
 @main.command("analyze")
 @click.option("--code", "code_name", default=None)
 @click.option("--pcm-file", default=None)
-@click.option("--n-layers", type=int, default=6)
-@click.option("--dim", "embed_dim", type=int, default=128)
+@click.option("--n-layers", type=click.IntRange(min=1), default=6)
+@click.option("--dim", "embed_dim", type=click.IntRange(min=1), default=128)
 @click.option("--out", default=None)
 def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
     """Mask density / FLOPs comparison between the cross- and self-attention
@@ -320,9 +323,9 @@ def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
             published = ""
             matches = ""
             if check is not None:
-                published = check["published_cross_pct"] if row.decoder == "crossmpt" else check["published_self_pct"]
-                ours = 100 * row.density
-                matches = str(abs(ours - published) <= 0.005)
+                side = "cross" if row.decoder == "crossmpt" else "self"
+                published = check[f"published_{side}_pct"]
+                matches = str(check[f"{side}_matches"])
             writer.writerow([row.decoder, row.attention_map_area, row.unmasked,
                              repr(float(row.density)), row.flops, published, matches])
     cross, self_ = rows
@@ -378,13 +381,16 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
         smp = sample(decoder.code, NoiseSpec.for_code(decoder.code, ebn0, seed=seed), policy="all_zero")
     dumps = dump_attention(decoder, smp, layer_range)
     out_path = _out_dir(out, f"attention_{code.name}")
+    branches = decoder.ens.p if hasattr(decoder, "ens") else 1
     artifacts = []
     for entry in dumps:
-        idx = entry["layer"]
+        stem = f"layer{entry['layer']:02d}"
+        if branches > 1:
+            stem = f"branch{entry['branch']}_{stem}"
         for name, arr in entry.items():
-            if name == "layer":
+            if name in ("branch", "layer"):
                 continue
-            fname = f"layer{idx:02d}_{name}.csv"
+            fname = f"{stem}_{name}.csv"
             arr2 = np.asarray(arr)
             np.savetxt(out_path / fname, arr2.reshape(-1, arr2.shape[-1]), delimiter=",")
             artifacts.append(fname)

@@ -31,7 +31,6 @@ __all__ = [
     "BerRow",
     "BerReport",
     "IdentityDecoder",
-    "PerfectDecoder",
     "BpDecoder",
     "estimate_ber",
     "wilson_interval",
@@ -147,15 +146,6 @@ class IdentityDecoder:
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         return batch.y_b
-
-
-class PerfectDecoder:
-    """Oracle that returns the transmitted codeword (calibration only)."""
-
-    name = "oracle"
-
-    def decode_batch(self, batch: BatchSample) -> np.ndarray:
-        return batch.x
 
 
 class BpDecoder:
@@ -343,21 +333,25 @@ def density_check(code: Code) -> dict | None:
     """Compare this code's mask densities to the published values, if any.
 
     Returns None when no reference exists; otherwise a dict with ours/published
-    percentages and a `matches` flag (rounded to the published precision).
+    percentages, a match flag per decoder (`cross_matches` for crossmpt,
+    `self_matches` for ecct; equal at the published precision) and `matches`
+    when both hold.
     """
     if code.name not in PUBLISHED_MASK_DENSITIES:
         return None
     rows = complexity_report(ModelConfig(), code)
     ours = (100 * rows[0].density, 100 * rows[1].density)
     published = PUBLISHED_MASK_DENSITIES[code.name]
-    matches = all(abs(o - p) <= 0.005 for o, p in zip(ours, published))
+    cross_matches, self_matches = (abs(o - p) <= 0.005 for o, p in zip(ours, published))
     return {
         "code": code.name,
         "ours_cross_pct": ours[0],
         "ours_self_pct": ours[1],
         "published_cross_pct": published[0],
         "published_self_pct": published[1],
-        "matches": matches,
+        "cross_matches": cross_matches,
+        "self_matches": self_matches,
+        "matches": cross_matches and self_matches,
     }
 
 
@@ -369,20 +363,24 @@ def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | 
     """Per-layer attention score matrices and their vertical (per-column) sums.
 
     Works for cross-attention models (two maps per layer) and self-attention
-    models (one map per layer). Returns a list of dicts with the raw arrays;
-    masked positions are exact zeros.
+    models (one map per layer). Returns a list of dicts with the raw arrays,
+    the 1-based `layer` and the 0-based ensemble `branch` (0 for a single
+    model), branch by branch; layer_range selects the same layers of every
+    branch. Masked positions are exact zeros.
     """
     capture: list = []
     if hasattr(model, "ens"):
         model.logits_batch(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
     else:
         model.logits_batch(sample.mag[None, :], sample.syndromes[0][None, :], capture)
-    lo, hi = layer_range if layer_range is not None else (1, len(capture))
+    n_layers = model.cfg.n_layers
+    lo, hi = layer_range if layer_range is not None else (1, n_layers)
     dumps = []
-    for idx, entry in enumerate(capture, start=1):
-        if not lo <= idx <= hi:
+    for idx, entry in enumerate(capture):
+        branch, layer = divmod(idx, n_layers)
+        if not lo <= layer + 1 <= hi:
             continue
-        out: dict[str, np.ndarray] = {"layer": idx}
+        out: dict[str, np.ndarray] = {"branch": branch, "layer": layer + 1}
         for name, arr in entry.items():
             arr = np.asarray(arr)
             while arr.ndim > 3:

@@ -8,7 +8,6 @@ __all__ = [
     "BinaryMatrix",
     "gf2_matmul",
     "mod2_product",
-    "identity",
     "rank",
     "rref",
     "null_space",
@@ -74,10 +73,6 @@ class BinaryMatrix:
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols}, ones={self.popcount()})"
-
-
-def identity(n: int) -> BinaryMatrix:
-    return BinaryMatrix(np.eye(n, dtype=np.uint8))
 
 
 def mod2_product(a, b) -> np.ndarray:

@@ -68,15 +68,12 @@ class ModelConfig:
     embed_dim: int = 128
     heads: int = 1
     ffn_expansion: int = 4
-    norm_order: str = "pre"  # "pre" or "post"
 
     def __post_init__(self):
-        if self.n_layers < 1 or self.embed_dim < 1:
-            raise ValueError("n_layers and embed_dim must be >= 1")
+        if min(self.n_layers, self.embed_dim, self.heads) < 1:
+            raise ValueError("n_layers, embed_dim and heads must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ValueError("embed_dim must be divisible by heads")
-        if self.norm_order not in ("pre", "post"):
-            raise ValueError(f"unknown norm_order {self.norm_order!r}")
 
     @property
     def code_agnostic(self) -> bool:
@@ -192,11 +189,9 @@ def _attention(
     return outs[0] if cfg.heads == 1 else ad.concat(outs, axis=-1)
 
 
-def _attn_input(x: Tensor, lp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """What a block's attention reads of x: LN_attn(x) pre-norm, x post-norm."""
-    if cfg.norm_order == "pre":
-        return ad.layer_norm(x, lp["attn_norm.gain"], lp["attn_norm.bias"])
-    return x
+def _attn_input(x: Tensor, lp: dict[str, Tensor]) -> Tensor:
+    """What a block's attention reads of x: LN_attn(x) (layers are pre-norm)."""
+    return ad.layer_norm(x, lp["attn_norm.gain"], lp["attn_norm.bias"])
 
 
 def _block(
@@ -212,17 +207,12 @@ def _block(
     kv_in are `_attn_input` of the query and key/value streams, computed by
     the caller so that a layer whose blocks share a stream normalizes it once;
     cross-attention when they differ, self-attention otherwise."""
-    attn = _attention(q_in, kv_in, lp, mask, cfg, capture)
-    if cfg.norm_order == "pre":
-        x = ad.add(x_q, attn)
-        h = ad.ffn(
-            ad.layer_norm(x, lp["ffn_norm.gain"], lp["ffn_norm.bias"]),
-            lp["ffn.w1"], lp["ffn.b1"], lp["ffn.w2"], lp["ffn.b2"],
-        )
-        return ad.add(x, h)
-    x = ad.layer_norm(ad.add(x_q, attn), lp["attn_norm.gain"], lp["attn_norm.bias"])
-    h = ad.ffn(x, lp["ffn.w1"], lp["ffn.b1"], lp["ffn.w2"], lp["ffn.b2"])
-    return ad.layer_norm(ad.add(x, h), lp["ffn_norm.gain"], lp["ffn_norm.bias"])
+    x = ad.add(x_q, _attention(q_in, kv_in, lp, mask, cfg, capture))
+    h = ad.ffn(
+        ad.layer_norm(x, lp["ffn_norm.gain"], lp["ffn_norm.bias"]),
+        lp["ffn.w1"], lp["ffn.b1"], lp["ffn.w2"], lp["ffn.b2"],
+    )
+    return ad.add(x, h)
 
 
 def _layer_params(params: dict[str, Tensor], i: int) -> dict[str, Tensor]:
@@ -262,9 +252,9 @@ def crossmpt_layer(
     mask_ht, mask_h = masks
     cap1 = [] if capture is not None else None
     cap2 = [] if capture is not None else None
-    s_in = _attn_input(s_t, lp, cfg)
-    m_new = _block(m_t, _attn_input(m_t, lp, cfg), s_in, lp, mask_ht, cfg, cap1)
-    s_new = _block(s_t, s_in, _attn_input(m_new, lp, cfg), lp, mask_h, cfg, cap2)
+    s_in = _attn_input(s_t, lp)
+    m_new = _block(m_t, _attn_input(m_t, lp), s_in, lp, mask_ht, cfg, cap1)
+    s_new = _block(s_t, s_in, _attn_input(m_new, lp), lp, mask_h, cfg, cap2)
     if capture is not None:
         capture.append({"mag_to_syn": cap1[0], "syn_to_mag": cap2[0]})
     return m_new, s_new
@@ -314,17 +304,20 @@ def foundation_logits(
     """Shared-weight foundation forward over one or more PCM branches, fused
     by addition before the final shared FC.
 
-    Branch contributions are summed in a canonical order (sorted by PCM
-    bytes), which makes the result exactly invariant to the order the
-    branches were listed in.
+    Towers run, and append their layers to `capture`, in the order the
+    branches are listed. Their contributions are summed in a canonical order
+    (sorted by PCM bytes), which makes the result exactly invariant to that
+    order.
     """
     n = mag.shape[-1]
+    contribs = []
+    for pcm, syn in zip(pcms, syndromes):
+        m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
+        contribs.append(_foundation_tower(params, cfg, tanner_graph(pcm), m_t, s_t, capture))
     order = sorted(range(len(pcms)), key=lambda j: pcms[j].bits.tobytes())
-    fused: Tensor | None = None
-    for j in order:
-        m_t, s_t = _embed_tensors(params, cfg, n, mag, syndromes[j])
-        contrib = _foundation_tower(params, cfg, tanner_graph(pcms[j]), m_t, s_t, capture)
-        fused = contrib if fused is None else ad.add(fused, contrib)
+    fused = contribs[order[0]]
+    for j in order[1:]:
+        fused = ad.add(fused, contribs[j])
     out = ad.add(ad.matmul(fused, params["head.fc.w"]), params["head.fc.b"])
     return _drop_penultimate(ad.transpose(out))
 
@@ -355,7 +348,7 @@ def forward_arrays(
     for i in range(cfg.n_layers):
         cap = [] if capture is not None else None
         lp = _layer_params(params, i)
-        x_in = _attn_input(x, lp, cfg)
+        x_in = _attn_input(x, lp)
         x = _block(x, x_in, x_in, lp, mask, cfg, cap)
         if capture is not None:
             capture.append({"self": cap[0]})

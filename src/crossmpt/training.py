@@ -51,7 +51,9 @@ class TrainConfig:
 
     variant "crossed" trains the parallel-ensemble decoder (p branches,
     foundation base); all other variants name a DecoderModel architecture.
-    Multi-code training requires a code-agnostic variant.
+    Multi-code training requires a code-agnostic variant. Layers are
+    pre-norm, Eb/N0 is drawn per sample, and a mixture draws its code for
+    each batch uniformly.
     """
 
     codes: tuple[str, ...] = ("bch_15_7",)
@@ -60,7 +62,6 @@ class TrainConfig:
     embed_dim: int = 32
     heads: int = 1
     ffn_expansion: int = 4
-    norm_order: str = "pre"
     p: int = 1
     epochs: int = 20
     batches_per_epoch: int = 200
@@ -69,8 +70,6 @@ class TrainConfig:
     lr_min: float = 5e-7
     ebn0_lo: float = 3.0
     ebn0_hi: float = 7.0
-    per_batch_ebn0: bool = False
-    code_sampling: str = "uniform"  # or "proportional" (to blocklength)
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 = only final
     clip_norm: float = 1.0
@@ -81,10 +80,14 @@ class TrainConfig:
             raise ValueError("epochs, batches_per_epoch, batch_size must be >= 1")
         if not self.lr0 > self.lr_min > 0:
             raise ValueError("need lr0 > lr_min > 0")
-        if self.code_sampling not in ("uniform", "proportional"):
-            raise ValueError(f"unknown code_sampling {self.code_sampling!r}")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
+        model = self.model_config()  # raises on an invalid architecture
+        if len(self.codes) > 1 and not model.code_agnostic:
+            raise ValueError(
+                f"variant {self.variant!r} has code-specific shapes; multi-code training "
+                "needs a foundation variant (fcrossmpt or crossed)"
+            )
 
     @property
     def is_ensemble(self) -> bool:
@@ -98,7 +101,6 @@ class TrainConfig:
             embed_dim=self.embed_dim,
             heads=self.heads,
             ffn_expansion=self.ffn_expansion,
-            norm_order=self.norm_order,
         )
 
 
@@ -108,7 +110,6 @@ class TrainReport:
     lr_trace: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
     checkpoint_path: str = ""
-    config: TrainConfig | None = None
 
 
 def loss(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -154,10 +155,7 @@ def _select_lane(lanes: list[_Lane], cfg: TrainConfig, epoch: int, batch: int) -
     if len(lanes) == 1:
         return lanes[0]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_CODESEL, epoch, batch]))
-    if cfg.code_sampling == "uniform":
-        return lanes[rng.integers(len(lanes))]
-    weights = np.array([lane.sampling_code.n for lane in lanes], dtype=np.float64)
-    return lanes[rng.choice(len(lanes), p=weights / weights.sum())]
+    return lanes[rng.integers(len(lanes))]
 
 
 def _validate_resume(stored: dict, cfg: TrainConfig) -> None:
@@ -191,11 +189,6 @@ def train(
     started = time.perf_counter()
     codes = [get_code(name) for name in cfg.codes]
     model_cfg = cfg.model_config()
-    if len(codes) > 1 and not (cfg.is_ensemble or model_cfg.code_agnostic):
-        raise ValueError(
-            f"variant {cfg.variant!r} has code-specific shapes; multi-code training "
-            "needs a foundation variant (fcrossmpt or crossed)"
-        )
     lanes = [_Lane(cfg, model_cfg, code) for code in codes]
     dtype = np.float64 if cfg.dtype == "float64" else np.float32
 
@@ -211,13 +204,12 @@ def train(
         report = TrainReport(
             epoch_losses=list(ck.header["extra"].get("epoch_losses", [])),
             lr_trace=list(ck.header["extra"].get("lr_trace", [])),
-            config=cfg,
         )
     else:
         param_code = None if model_cfg.code_agnostic else codes[0]
         params = init_params(model_cfg, param_code, seed=cfg.seed, dtype=dtype)
         adam = AdamState.for_params(params)
-        report = TrainReport(config=cfg)
+        report = TrainReport()
 
     total_steps = cfg.epochs * cfg.batches_per_epoch
     schedule_steps = max(total_steps - 1, 1)
@@ -261,7 +253,6 @@ def train(
                 cfg.batch_size,
                 policy="all_zero",
                 stream=(_TAG_DATA, epoch, b),
-                per_batch_ebn0=cfg.per_batch_ebn0,
             )
             for p in params.values():
                 p.zero_grad()
@@ -340,8 +331,6 @@ def coerce_config(raw: dict) -> dict:
                 out[key] = int(value)
             elif kind == "float":
                 out[key] = float(value)
-            elif kind == "bool":
-                out[key] = value.lower() in ("1", "true", "yes")
             else:
                 out[key] = value
         else:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,26 @@ def rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.max(np.abs(a - b) / denom)
+
+
+# Settings removed from the program, with the one value a checkpoint header
+# may still hold for each, and the header sections that held it.
+RETIRED_DEFAULTS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform"}
+RETIRED_SECTIONS = {"norm_order": ("model", "train_cfg"), "per_batch_ebn0": ("train_cfg",),
+                    "code_sampling": ("train_cfg",)}
+
+
+def rewrite_checkpoint_header(path, **retired) -> None:
+    """Write the removed settings into a checkpoint's header, in place, as a
+    header written before their removal held them: the defaults, overridden
+    by `retired`."""
+    data = dict(np.load(path, allow_pickle=False))
+    header = json.loads(bytes(data["__header__"]).decode())
+    for key, value in {**RETIRED_DEFAULTS, **retired}.items():
+        for section in RETIRED_SECTIONS[key]:
+            header[section][key] = value
+    data["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez(path, **data)
 
 
 def fd_grads(params: dict[str, Tensor], fn, eps: float = 1e-5) -> dict[str, np.ndarray]:

@@ -113,8 +113,6 @@ class TestSampling:
         spec = NoiseSpec.for_code(code, 3.0, 7.0, seed=6)
         batch = sample_batch(code, spec, 64, policy="all_zero")
         assert len(np.unique(batch.ebn0_db)) > 32
-        per_batch = sample_batch(code, spec, 64, policy="all_zero", per_batch_ebn0=True)
-        assert len(np.unique(per_batch.ebn0_db)) == 1
 
 
 class TestInvariancePair:

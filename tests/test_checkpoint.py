@@ -1,9 +1,13 @@
 import errno
 import io
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import rewrite_checkpoint_header
+from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -12,8 +16,9 @@ from crossmpt.checkpoint import (
 from crossmpt.codes import get_code
 from crossmpt.ensemble import build_ensemble
 from crossmpt.gf2 import BinaryMatrix, rank
-from crossmpt.models import ModelConfig, Variant, init_params
+from crossmpt.models import DecoderModel, ModelConfig, Variant, init_params
 from crossmpt.optim import AdamState
+from crossmpt.training import TrainConfig, train
 
 
 def test_model_checkpoint_round_trip_is_exact(tmp_path):
@@ -142,3 +147,72 @@ def test_failed_write_leaves_no_file_at_the_target(tmp_path, monkeypatch):
         )
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+class TestRetiredKeys:
+    """Headers written before a setting was removed: the value the program
+    still implements loads and resumes unchanged; any other is refused."""
+
+    CFG = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
+                      epochs=2, batches_per_epoch=3, batch_size=8, seed=21)
+
+    @staticmethod
+    def logits(path):
+        ck = load_checkpoint(path)
+        code = ck.codes["hamming_7_4"]
+        batch = sample_batch(code, NoiseSpec.for_code(code, 4.0, seed=22), 16, policy="random")
+        model = DecoderModel(ck.model_cfg, code, params=ck.params, infer_only=True)
+        return model.logits_batch(batch.mag, batch.syndromes[0]).data.tobytes()
+
+    @staticmethod
+    def params(path):
+        return {k: p.data.tobytes() for k, p in load_checkpoint(path).params.items()}
+
+    def test_old_header_with_kept_values_loads_and_resumes_bitwise(self, tmp_path):
+        whole = train(self.CFG, out_dir=tmp_path / "whole")
+        partial = train(self.CFG, out_dir=tmp_path / "partial", interrupt_after=1)
+        old = tmp_path / "old.npz"
+        shutil.copy(partial.checkpoint_path, old)
+        rewrite_checkpoint_header(old)
+        assert self.logits(old) == self.logits(partial.checkpoint_path)
+        resumed = train(self.CFG, out_dir=tmp_path / "resumed", resume_from=old)
+        assert resumed.epoch_losses == whole.epoch_losses
+        assert self.params(resumed.checkpoint_path) == self.params(whole.checkpoint_path)
+
+    @pytest.mark.parametrize(
+        "key,value", [("norm_order", "post"), ("per_batch_ebn0", True),
+                      ("code_sampling", "proportional")],
+    )
+    def test_other_values_are_refused(self, tmp_path, key, value):
+        report = train(self.CFG, out_dir=tmp_path, interrupt_after=1)
+        rewrite_checkpoint_header(report.checkpoint_path, **{key: value})
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(report.checkpoint_path)
+
+
+class TestStoredCodes:
+    """A code outside the registry is rebuilt from its stored PCM by the
+    constructor every PCM file goes through."""
+
+    @staticmethod
+    def save(tmp_path, code):
+        cfg = ModelConfig(variant=Variant.FCROSSMPT, n_layers=1, embed_dim=8)
+        return save_checkpoint(
+            tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code],
+            params=init_params(cfg, None, seed=1), seed=1, step=0, epoch=0,
+        )
+
+    def test_non_registry_code_round_trips(self, tmp_path):
+        # the (15,7) BCH matrix under another name: a cyclic code outside the registry
+        code = replace(get_code("bch_15_7"), name="bch_mine")
+        ck = load_checkpoint(self.save(tmp_path, code))
+        assert ck.codes["bch_mine"] == code
+
+    def test_rank_deficient_stored_pcm_is_refused(self, tmp_path):
+        code = replace(get_code("hamming_7_4"), name="hamming_mine")
+        path = self.save(tmp_path, code)
+        bits = code.pcm.bits.copy()
+        bits[2] = bits[0] ^ bits[1]
+        _rewrite_arrays(path, **{"code_pcm:hamming_mine": bits})
+        with pytest.raises(CheckpointError, match="hamming_mine"):
+            load_checkpoint(path)

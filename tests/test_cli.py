@@ -1,9 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import rewrite_checkpoint_header
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.cli import _decoder_from_checkpoint, main
 from crossmpt.codes import dense_text_dumps, get_code, load_code
@@ -289,6 +291,24 @@ class TestDumpAttentionCommand:
         mag_files = sorted(p.name for p in out.glob("layer*_mag_to_syn.csv"))
         assert len(mag_files) == 2
 
+    def test_crossed_maps_are_named_by_branch_and_layer(self, runner, tmp_path):
+        train_out = tmp_path / "t"
+        invoke(
+            runner, "train", "--code", "bch_15_7", "--variant", "crossed", "--p", 2,
+            "--n-layers", 2, "--dim", 8, "--epochs", 1, "--batches-per-epoch", 2,
+            "--batch-size", 8, "--out", train_out,
+        )
+        out = tmp_path / "d"
+        result = invoke(
+            runner, "dump-attention", "--checkpoint", train_out / "checkpoint_final.npz",
+            "--code", "bch_15_7", "--layers", "2..2", "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        maps = ("mag_to_syn", "mag_to_syn_colsum", "syn_to_mag", "syn_to_mag_colsum")
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(
+            f"branch{j}_layer02_{name}.csv" for j in range(2) for name in maps
+        )
+
     def test_no_error_mode_same_shapes(self, runner, tmp_path, tiny_checkpoint):
         out = tmp_path / "clean"
         result = invoke(
@@ -370,6 +390,46 @@ class TestConfigurationErrorsExit2:
             "--out", str(tmp_path / "second"),
         ])
         self.assert_config_error(result, "batch_size")
+
+    def test_eval_zero_bp_iterations(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "bp", "--iters", "0",
+            "--max-bits", "700", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--iters")
+
+    def test_analyze_zero_layers(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "analyze", "--code", "hamming_7_4", "--n-layers", "0", "--out", str(tmp_path / "o"),
+        ])
+        self.assert_config_error(result, "--n-layers")
+
+    @pytest.mark.parametrize("args,cause", [
+        (["--code", "bch_15_7", "--heads", "3"], "heads"),
+        (["--code", "bch_15_7", "--variant", "crossed", "--p", "9"], "p=9"),
+        (["--codes", "bch_15_7,hamming_7_4", "--variant", "crossmpt"], "multi-code"),
+    ], ids=["heads", "crossed_p", "multi_code"])
+    def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
+        result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
+        self.assert_config_error(result, cause)
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm_order", "post"), ("per_batch_ebn0", True), ("code_sampling", "proportional"),
+    ])
+    def test_removed_setting_in_checkpoint(self, runner, tmp_path, key, value):
+        args = ["train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8",
+                "--epochs", "2", "--batches-per-epoch", "1", "--batch-size", "4"]
+        invoke(runner, *args, "--out", tmp_path / "first")
+        path = tmp_path / "old.npz"
+        shutil.copy(tmp_path / "first" / "checkpoint_final.npz", path)
+        rewrite_checkpoint_header(path, **{key: value})
+        result = runner.invoke(main, [
+            "eval", "--checkpoint", str(path), "--code", "hamming_7_4", "--ebn0", "4",
+            "--max-bits", "700", "--out", str(tmp_path / "eval"),
+        ])
+        self.assert_config_error(result, key)
+        result = runner.invoke(main, args + ["--resume", str(path), "--out", str(tmp_path / "second")])
+        self.assert_config_error(result, key)
 
     @pytest.mark.parametrize("layers", ["one..two", "2..1", "0..1", "2..3"])
     def test_dump_attention_malformed_layers(self, runner, tmp_path, tiny_checkpoint, layers):

@@ -82,20 +82,19 @@ def _model_run(engine, monkeypatch, cfg, code, ens, dtype):
 
 
 MODELS = [
-    ("crossmpt", Variant.CROSSMPT, "pre", 0),
-    ("crossmpt_post", Variant.CROSSMPT, "post", 0),
-    ("ecct", Variant.ECCT, "pre", 0),
-    ("ecct_fully_masked", Variant.ECCT_FULLY_MASKED, "pre", 0),
-    ("fcrossmpt", Variant.FCROSSMPT, "pre", 0),
-    ("crossed_p2", Variant.FCROSSMPT, "pre", 2),
+    ("crossmpt", Variant.CROSSMPT, 0),
+    ("ecct", Variant.ECCT, 0),
+    ("ecct_fully_masked", Variant.ECCT_FULLY_MASKED, 0),
+    ("fcrossmpt", Variant.FCROSSMPT, 0),
+    ("crossed_p2", Variant.FCROSSMPT, 2),
 ]
 
 
-@pytest.mark.parametrize("name,variant,norm_order,p", [pytest.param(*m, id=m[0]) for m in MODELS])
+@pytest.mark.parametrize("name,variant,p", [pytest.param(*m, id=m[0]) for m in MODELS])
 @pytest.mark.parametrize("dtype", DTYPES)
-def test_model_gradients_match_reference_bitwise(monkeypatch, name, variant, norm_order, p, dtype):
+def test_model_gradients_match_reference_bitwise(monkeypatch, name, variant, p, dtype):
     code = get_code("bch_15_7")
-    cfg = ModelConfig(variant=variant, n_layers=2, embed_dim=16, heads=2, norm_order=norm_order)
+    cfg = ModelConfig(variant=variant, n_layers=2, embed_dim=16, heads=2)
     ens = build_ensemble(code, p, base=cfg) if p else None
     ref = _model_run(reference_autodiff, monkeypatch, cfg, code, ens, dtype)
     got = _model_run(autodiff, monkeypatch, cfg, code, ens, dtype)

@@ -1,5 +1,6 @@
 import platform
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from crossmpt.ensemble import CrossEDModel, build_ensemble
 from crossmpt.evaluation import (
     BpDecoder,
     IdentityDecoder,
-    PerfectDecoder,
     StopRule,
     bitwise_ber,
     complexity_report,
@@ -38,6 +38,15 @@ class TestWilson:
 
     def test_no_trials(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+
+class PerfectDecoder:
+    """Oracle that returns the transmitted codeword."""
+
+    name = "oracle"
+
+    def decode_batch(self, batch):
+        return batch.x
 
 
 class PickleCountingDecoder(IdentityDecoder):
@@ -252,6 +261,7 @@ class TestComplexity:
         check = density_check(get_code("ldpc_121_70"))
         assert check is not None
         assert check["ours_cross_pct"] == pytest.approx(9.09, abs=0.005)
+        assert check["cross_matches"] and not check["self_matches"]
         assert not check["matches"]
 
     def test_density_check_none_without_reference(self):
@@ -281,6 +291,22 @@ class TestDumpAttention:
         smp = sample(code, NoiseSpec.for_code(code, 5.0, seed=11))
         dumps = dump_attention(model, smp, layer_range=(1, 2))
         assert [d["layer"] for d in dumps] == [1, 2]
+
+    def test_crossed_maps_are_numbered_by_branch_in_list_order(self):
+        code = get_code("bch_15_7")
+        ens = build_ensemble(code, 2, base=ModelConfig(variant=Variant.FCROSSMPT, n_layers=2, embed_dim=8))
+        assert ens.pcms[0] != ens.pcms[1]
+        # both list orders, so that one of them differs from the fused sum's canonical order
+        for pcms in (ens.pcms, ens.pcms[::-1]):
+            model = CrossEDModel(replace(ens, pcms=pcms), seed=18, infer_only=True)
+            smp = sample(model.code, NoiseSpec.for_code(code, 5.0, seed=17), policy="random")
+            dumps = dump_attention(model, smp)
+            assert [(d["branch"], d["layer"]) for d in dumps] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+            for entry in dumps:
+                h = pcms[entry["branch"]].bits
+                assert ((entry["mag_to_syn"] == 0) == (h.T == 0)).all()
+                assert ((entry["syn_to_mag"] == 0) == (h == 0)).all()
+            assert [d["layer"] for d in dump_attention(model, smp, layer_range=(2, 2))] == [2, 2]
 
     def test_error_free_sample_still_dumps(self):
         code = get_code("hamming_7_4")

@@ -8,7 +8,6 @@ from crossmpt.gf2 import (
     BinaryMatrix,
     complementary_pcm,
     gf2_matmul,
-    identity,
     is_cyclic_row_space,
     mod2_product,
     null_space,
@@ -17,6 +16,10 @@ from crossmpt.gf2 import (
     stack_rows,
     systematic_form,
 )
+
+
+def identity(n):
+    return BinaryMatrix(np.eye(n, dtype=np.uint8))
 
 
 def bits(rng, m, n):

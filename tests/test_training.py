@@ -97,10 +97,9 @@ class TestTrainLoop:
         assert report.lr_trace[-1] == pytest.approx(5e-7, rel=1e-12)
 
     def test_multi_code_needs_foundation_variant(self):
-        cfg = TrainConfig(codes=("hamming_7_4", "bch_15_7"), variant="crossmpt",
-                          epochs=1, batches_per_epoch=1, batch_size=4)
         with pytest.raises(ValueError, match="foundation"):
-            train(cfg)
+            TrainConfig(codes=("hamming_7_4", "bch_15_7"), variant="crossmpt",
+                        epochs=1, batches_per_epoch=1, batch_size=4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_loss_aborts_with_diagnostics(self):
@@ -313,14 +312,12 @@ class TestConfigFile:
             "variant = fcrossmpt\n"
             "epochs = 3\n"
             "lr0 = 2e-4\n"
-            "per_batch_ebn0 = true\n"
         )
         settings = parse_config_file(path)
         cfg = TrainConfig(**settings)
         assert cfg.codes == ("bch_15_7", "bch_31_16")
         assert cfg.epochs == 3
         assert cfg.lr0 == 2e-4
-        assert cfg.per_batch_ebn0 is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown training config key"):
