@@ -1,7 +1,8 @@
 """Sum-product and min-sum belief propagation on the Tanner graph.
 
 Flooding schedule, channel LLR convention 2y/sigma^2 (positive LLR means bit
-0), hard decision each iteration, optional early stop on a zero syndrome.
+0), hard decision each iteration, and a frame stops at its first zero
+syndrome.
 The decoder is vectorized over a batch of frames; per-frame results are
 identical to decoding each frame alone.
 """
@@ -23,7 +24,6 @@ _TANH_CLIP = 1.0 - 1e-12
 class BpConfig:
     max_iters: int = 20
     algorithm: str = "sum_product"  # or "min_sum"
-    early_stop: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -67,9 +67,10 @@ def bp_decode_batch(
     """Decode a (B, n) batch of LLR vectors.
 
     Returns (hard decisions (B, n), iterations used (B,), converged (B,)).
-    With early stop, a frame's output is frozen at its first zero-syndrome
-    iteration and the frame leaves the working arrays; rows never interact,
-    so every remaining frame sees the same arithmetic as in a full batch.
+    A frame's output is frozen at its first zero-syndrome iteration and the
+    frame leaves the working arrays; rows never interact, so every remaining
+    frame sees the same arithmetic as in a full batch. A frame that never
+    reaches a zero syndrome keeps its last decision after max_iters.
     """
     llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
     if not np.isfinite(llr).all():
@@ -111,25 +112,20 @@ def bp_decode_batch(
         posterior = incoming.sum(axis=-1)
         posterior += llr
         hd = (posterior < 0).astype(np.uint8)
-        if cfg.early_stop:
-            zero_syn = ~graph.syndrome(hd).any(axis=-1)
-            if zero_syn.any():
-                rows = active[zero_syn]
-                out[rows] = hd[zero_syn]
-                iters[rows] = it
-                converged[rows] = True
-                keep = ~zero_syn
-                active = active[keep]
-                llr, posterior, c2v, hd = llr[keep], posterior[keep], c2v[keep], hd[keep]
-                if not active.size:
-                    break
+        zero_syn = ~graph.syndrome(hd).any(axis=-1)
+        if zero_syn.any():
+            rows = active[zero_syn]
+            out[rows] = hd[zero_syn]
+            iters[rows] = it
+            converged[rows] = True
+            keep = ~zero_syn
+            active = active[keep]
+            llr, posterior, c2v, hd = llr[keep], posterior[keep], c2v[keep], hd[keep]
+            if not active.size:
+                break
         v2c = posterior[:, graph.var_of_edge]
         v2c -= c2v
-    if cfg.early_stop:
-        out[active] = hd
-    else:
-        out = hd
-        converged = ~graph.syndrome(hd).any(axis=-1)
+    out[active] = hd
     return out, iters, converged
 
 

@@ -37,8 +37,11 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "CheckpointError"
 
 # Removed settings, each with the one value the program still implements:
 # layers are pre-norm, Eb/N0 is drawn per sample, mixtures draw codes
-# uniformly. Keys of the header's "model" and "train_cfg" sections.
-RETIRED_KEYS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform"}
+# uniformly, gradients are clipped to global norm 1. Keys of the header's
+# "model" and "train_cfg" sections.
+RETIRED_KEYS = {
+    "norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform", "clip_norm": 1.0,
+}
 
 
 class CheckpointError(ValueError):
@@ -112,7 +115,6 @@ def save_checkpoint(
         "step": step,
         "epoch": epoch,
         "adam_t": adam.t if adam is not None else None,
-        "n_branches": len(branch_pcms) if branch_pcms else 0,
         "train_cfg": train_cfg,
         "extra": extra or {},
     }
@@ -192,4 +194,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 raise CheckpointError(f"stored PCM for {name}: {exc}") from exc
 
     branch_pcms = [branch[i] for i in sorted(branch)]
+    if header["kind"] == "ensemble" and not branch_pcms:
+        raise CheckpointError("ensemble checkpoint holds no branch PCMs")
     return Checkpoint(header=header, params=params, adam=adam, codes=codes, branch_pcms=branch_pcms)

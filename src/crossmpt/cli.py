@@ -35,6 +35,7 @@ from .evaluation import (
     estimate_ber,
     write_bitwise_csv,
 )
+from .gf2 import is_cyclic_row_space
 from .models import DecoderModel, ModelConfig, Variant
 from .training import (
     ConfigMismatchError,
@@ -104,7 +105,7 @@ def codes_list() -> None:
         code = get_code(name)
         click.echo(
             f"{name:14s} {code.n:4d} {code.k:4d} {code.code_class.value:8s} "
-            f"{str(code.cyclic):6s} {registry_hash(name)[:12]}"
+            f"{str(is_cyclic_row_space(code.pcm)):6s} {registry_hash(name)[:12]}"
         )
 
 
@@ -120,19 +121,13 @@ def codes_validate(name: str | None) -> None:
         click.echo(f"{nm}: ok (rank {code.n - code.k}, G H^T = 0)")
 
 
-_PROFILES = {
-    "desk": {"n_layers": 2, "embed_dim": 32, "epochs": 20, "batches_per_epoch": 200, "batch_size": 128},
-    "paper": {"n_layers": 6, "embed_dim": 128, "epochs": 1000, "batches_per_epoch": 1000, "batch_size": 128},
-}
-
-
 @main.command("train")
 @click.option("--code", "code_name", default=None, help="single registry code")
 @click.option("--codes", "codes_csv", default=None, help="comma-separated registry codes")
-@click.option("--variant", default="crossmpt",
+@click.option("--variant", default=None, help="decoder architecture (default crossmpt)",
               type=click.Choice(["crossmpt", "fcrossmpt", "ecct", "ecct_fully_masked", "crossed"]))
-@click.option("--profile", type=click.Choice(sorted(_PROFILES)), default=None)
-@click.option("--config", "config_file", default=None, help="flat key-value config file")
+@click.option("--config", "config_file", default=None,
+              help="flat key-value config file (configs/); flags override its keys")
 @click.option("--n-layers", type=int, default=None)
 @click.option("--dim", "embed_dim", type=int, default=None)
 @click.option("--heads", type=int, default=None)
@@ -148,7 +143,7 @@ _PROFILES = {
 @click.option("--checkpoint-every", type=int, default=None)
 @click.option("--resume", "resume_from", default=None, help="checkpoint to continue from")
 @click.option("--out", default=None, help="output directory")
-def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_from, **flags) -> None:
+def cmd_train(code_name, codes_csv, config_file, out, resume_from, **flags) -> None:
     """Train a decoder; writes checkpoint, training_log.csv, and manifest."""
     settings: dict = {}
     if config_file:
@@ -156,9 +151,6 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
             settings.update(parse_config_file(config_file))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --config {config_file}: {exc}") from exc
-    if profile:
-        settings.update(_PROFILES[profile])
-    settings["variant"] = variant
     if codes_csv:
         settings["codes"] = tuple(c.strip() for c in codes_csv.split(",") if c.strip())
     elif code_name:
@@ -172,14 +164,6 @@ def cmd_train(code_name, codes_csv, variant, profile, config_file, out, resume_f
         cfg = TrainConfig(**coerce_config(settings))
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid training config: {exc}") from exc
-    for nm in cfg.codes:
-        if nm not in list_codes():
-            raise click.UsageError(f"unknown code {nm!r}")
-        if cfg.is_ensemble:
-            try:
-                build_ensemble(get_code(nm), cfg.p)
-            except ValueError as exc:
-                raise click.UsageError(f"invalid training config: {exc}") from exc
     if resume_from is not None and not Path(resume_from).is_file():
         raise ConfigError(f"cannot resume: no checkpoint file {resume_from}")
 
@@ -217,11 +201,10 @@ def _decoder_from_checkpoint(path: str, code):
     trained = ck.codes.get(code.name)
     same_pcm = trained is not None and trained.pcm == code.pcm
     if ck.kind == "ensemble":
-        p = int(ck.header["extra"].get("p", len(ck.branch_pcms)))
-        if same_pcm and ck.branch_pcms and len(ck.codes) == 1:
+        if same_pcm and len(ck.codes) == 1:
             ens = EnsembleConfig(code=code, base=cfg, pcms=tuple(ck.branch_pcms))
         else:
-            ens = build_ensemble(code, p, base=cfg)
+            ens = build_ensemble(code, len(ck.branch_pcms), base=cfg)
         return CrossEDModel(ens, params=ck.params, infer_only=True)
     if not cfg.code_agnostic:
         if trained is None:
@@ -271,16 +254,19 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
         ebn0_list = [float(v) for v in ebn0.split(",") if v.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad --ebn0 list: {ebn0!r}") from exc
+    try:
+        stop = StopRule(min_errors, max_bits)
+    except ValueError as exc:
+        raise ConfigError(f"invalid --min-errors/--max-bits: {exc}") from exc
 
     out_path = _out_dir(out, f"eval_{code.name}_{decoder.name}")
     try:
-        report = estimate_ber(
-            decoder, code, ebn0_list, StopRule(min_errors, max_bits),
-            seed=seed, policy=policy, workers=workers,
-        )
+        report = estimate_ber(decoder, code, ebn0_list, stop, seed=seed, policy=policy, workers=workers)
     except FloatingPointError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
+    except ValueError as exc:
+        raise ConfigError(f"cannot evaluate --ebn0 {ebn0!r}: {exc}") from exc
     report.to_csv(out_path / "ber_report.csv")
     artifacts = ["ber_report.csv"]
     if bitwise:

@@ -20,7 +20,6 @@ import numpy as np
 from .gf2 import (
     BinaryMatrix,
     gf2_matmul,
-    is_cyclic_row_space,
     mod2_product,
     null_space,
     rank,
@@ -67,7 +66,6 @@ class Code:
     generator: BinaryMatrix
     pcms: tuple[BinaryMatrix, ...]
     code_class: CodeClass = CodeClass.OTHER
-    cyclic: bool = False
 
     @property
     def pcm(self) -> BinaryMatrix:
@@ -124,7 +122,6 @@ def _code_from_pcm(
         generator=generator,
         pcms=(h,),
         code_class=code_class,
-        cyclic=is_cyclic_row_space(h),
     )
 
 
@@ -237,28 +234,14 @@ def parse_alist(text: str) -> BinaryMatrix:
     return BinaryMatrix(h)
 
 
-def load_code(
-    path: str | Path,
-    fmt: str = "auto",
-    name: str = "",
-    code_class: CodeClass = CodeClass.OTHER,
-) -> Code:
-    """Load a Code from a PCM file.
-
-    fmt is "alist", "dense-text", or "auto" (by extension: .alist vs anything
-    else). The generator is derived from the PCM null space.
+def load_code(path: str | Path) -> Code:
+    """Load a Code named after the file stem from a PCM file: alist when the
+    extension is .alist, dense text otherwise. The generator is derived from
+    the PCM null space.
     """
     path = Path(path)
-    text = path.read_text()
-    if fmt == "auto":
-        fmt = "alist" if path.suffix == ".alist" else "dense-text"
-    if fmt == "alist":
-        h = parse_alist(text)
-    elif fmt == "dense-text":
-        h = parse_dense_text(text)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return _code_from_pcm(h, name=name or path.stem, code_class=code_class)
+    parse = parse_alist if path.suffix == ".alist" else parse_dense_text
+    return _code_from_pcm(parse(path.read_text()), name=path.stem)
 
 
 # Bundled registry: name -> (file, class). Names follow "class_n_k".

@@ -1,9 +1,11 @@
 """Parallel ensemble decoding: p weight-shared foundation towers, each with a
 different PCM mask, fused by addition at the output layer.
 
-For cyclic codes the branch PCMs are the systematic PCM and its cyclic column
-shifts (complementary PCMs), whose identity blocks tile distinct bit ranges.
-Non-cyclic codes fall back to best-effort diagonalization at each window.
+The branch PCMs are the systematic PCM and its complementary PCMs, whose
+identity blocks tile distinct bit ranges: branch b is the reduced row-echelon
+form with pivots scanned from column b(n-k). For a cyclic code this equals the
+cyclic column shift of [I | P]; for any other code it is the best-effort
+diagonalization at that window.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor
 from .channel import BatchSample
 from .codes import Code
-from .gf2 import BinaryMatrix, complementary_pcm, rref, systematic_form
+from .gf2 import BinaryMatrix, rref
 from .models import DecoderModel, ModelConfig, Variant, foundation_logits
 
 __all__ = ["EnsembleConfig", "build_ensemble", "coverage_report", "crossed_forward", "CrossEDModel"]
@@ -52,22 +54,15 @@ def build_ensemble(
 ) -> EnsembleConfig:
     """Construct the branch PCM list [H_sys, H_c^1, ..., H_c^(p-1)].
 
-    Cyclic codes use exact cyclic column shifts; other codes fall back to
-    diagonalizing each shifted window as far as row operations allow. p may
-    not exceed ceil(n/(n-k)) for the shift construction.
+    Branch b diagonalizes the window starting at column b(n-k) as far as row
+    operations allow; for a cyclic code that is exactly the cyclic column
+    shift of the systematic PCM. p may not exceed ceil(n/(n-k)).
     """
     m = code.n - code.k
     limit = -(-code.n // m)
     if not 1 <= p <= limit:
         raise ValueError(f"p={p} outside 1..{limit} for an ({code.n},{code.k}) code")
-    h_sys = systematic_form(code.pcm)
-    pcms = [h_sys]
-    for shift in range(1, p):
-        if code.cyclic:
-            pcms.append(complementary_pcm(h_sys, shift))
-        else:
-            reduced, _ = rref(code.pcm, start=(shift * m) % code.n)
-            pcms.append(BinaryMatrix(reduced))
+    pcms = [BinaryMatrix(rref(code.pcm, start=(b * m) % code.n)[0]) for b in range(p)]
     if base is None:
         base = ModelConfig(variant=Variant.FCROSSMPT, n_layers=2, embed_dim=32)
     return EnsembleConfig(code=code, base=base, pcms=tuple(pcms))

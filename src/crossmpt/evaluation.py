@@ -58,10 +58,18 @@ PUBLISHED_MASK_DENSITIES: dict[str, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop an SNR point after min_errors bit errors or max_bits sent."""
+    """Stop an SNR point after min_errors bit errors or max_bits sent. Both
+    bounds are at least 1, so every point decodes at least one chunk."""
 
     min_errors: int = 100
     max_bits: int = 10_000_000
+
+    def __post_init__(self):
+        if min(self.min_errors, self.max_bits) < 1:
+            raise ValueError(
+                f"min_errors and max_bits must be >= 1, got min_errors={self.min_errors}, "
+                f"max_bits={self.max_bits}"
+            )
 
 
 @dataclass
@@ -211,8 +219,11 @@ def estimate_ber(
     workers > 1 the decoder is sent to each worker once, and a job carries
     only its noise spec, frame count and stream. Neural decoders split each
     chunk's rows over the cores, which the workers share out; OpenBLAS runs
-    on one thread for the duration of the call.
+    on one thread for the duration of the call. Raises ValueError on an
+    empty Eb/N0 list.
     """
+    if not ebn0_list:
+        raise ValueError("the Eb/N0 list is empty: no point to evaluate")
     keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
     pool = None

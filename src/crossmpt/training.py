@@ -16,7 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .channel import NoiseSpec, sample_batch
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .codes import Code, get_code
+from .codes import Code, get_code, list_codes
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
@@ -36,6 +36,8 @@ __all__ = [
 _TAG_DATA = 1
 _TAG_CODESEL = 2
 
+_CLIP_NORM = 1.0  # global gradient-norm clip of every step
+
 
 class NumericFailure(RuntimeError):
     """Loss or gradients left the finite range; aborts with diagnostics."""
@@ -51,9 +53,10 @@ class TrainConfig:
 
     variant "crossed" trains the parallel-ensemble decoder (p branches,
     foundation base); all other variants name a DecoderModel architecture.
-    Multi-code training requires a code-agnostic variant. Layers are
-    pre-norm, Eb/N0 is drawn per sample, and a mixture draws its code for
-    each batch uniformly.
+    Every code must be in the registry, and multi-code training requires a
+    code-agnostic variant. Layers are pre-norm, Eb/N0 is drawn per sample, a
+    mixture draws its code for each batch uniformly, and every step clips the
+    global gradient norm to 1.
     """
 
     codes: tuple[str, ...] = ("bch_15_7",)
@@ -72,7 +75,6 @@ class TrainConfig:
     ebn0_hi: float = 7.0
     seed: int = 0
     checkpoint_every: int = 0  # epochs; 0 = only final
-    clip_norm: float = 1.0
     dtype: str = "float64"
 
     def __post_init__(self):
@@ -88,6 +90,11 @@ class TrainConfig:
                 f"variant {self.variant!r} has code-specific shapes; multi-code training "
                 "needs a foundation variant (fcrossmpt or crossed)"
             )
+        for name in self.codes:
+            if name not in list_codes():
+                raise ValueError(f"unknown code {name!r}")
+            if self.is_ensemble:
+                build_ensemble(get_code(name), self.p)  # raises on a p the code cannot take
 
     @property
     def is_ensemble(self) -> bool:
@@ -231,11 +238,7 @@ def train(
             adam=adam,
             branch_pcms=list(lanes[0].ens.pcms) if cfg.is_ensemble else None,
             train_cfg={**asdict(cfg), "codes": list(cfg.codes)},
-            extra={
-                "epoch_losses": report.epoch_losses,
-                "lr_trace": report.lr_trace,
-                "p": cfg.p,
-            },
+            extra={"epoch_losses": report.epoch_losses, "lr_trace": report.lr_trace},
         )
 
     final_path: Path | None = None
@@ -265,7 +268,7 @@ def train(
                 )
             loss_t.backward()
             del loss_t  # the step's graph; freed before the next forward
-            grad_norm = clip_global_norm(params, cfg.clip_norm)
+            grad_norm = clip_global_norm(params, _CLIP_NORM)
             if not np.isfinite(grad_norm):
                 raise NumericFailure(
                     f"non-finite gradient norm {grad_norm} at epoch {epoch} batch {b} "

@@ -15,20 +15,24 @@ def rel_err(a, b, floor=1e-6):
 
 # Settings removed from the program, with the one value a checkpoint header
 # may still hold for each, and the header sections that held it.
-RETIRED_DEFAULTS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform"}
+RETIRED_DEFAULTS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform",
+                    "clip_norm": 1.0}
 RETIRED_SECTIONS = {"norm_order": ("model", "train_cfg"), "per_batch_ebn0": ("train_cfg",),
-                    "code_sampling": ("train_cfg",)}
+                    "code_sampling": ("train_cfg",), "clip_norm": ("train_cfg",)}
 
 
 def rewrite_checkpoint_header(path, **retired) -> None:
     """Write the removed settings into a checkpoint's header, in place, as a
     header written before their removal held them: the defaults, overridden
-    by `retired`."""
+    by `retired`. The header also gets the branch count records such headers
+    held, `n_branches` and `extra["p"]`."""
     data = dict(np.load(path, allow_pickle=False))
     header = json.loads(bytes(data["__header__"]).decode())
     for key, value in {**RETIRED_DEFAULTS, **retired}.items():
         for section in RETIRED_SECTIONS[key]:
             header[section][key] = value
+    header["n_branches"] = sum(name.startswith("branch_pcm:") for name in data)
+    header["extra"]["p"] = header["train_cfg"]["p"]
     data["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     np.savez(path, **data)
 

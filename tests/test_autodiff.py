@@ -314,9 +314,15 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 def ref_gelu(x, g):
     """GELU and its input gradient, computed in float64 and rounded to x's
-    dtype: in float32, `1 + erf` cancels in the negative tail."""
+    dtype. A float32 input follows `erfc`, as the float32 path does: `1 + erf`
+    cancels in the negative tail, in float32 below about x = -5.9 and in
+    float64, by more than float32's tolerance, below about x = -7. A float64
+    input keeps the `1 + erf` form of the float64 path."""
     x64 = x.astype(np.float64)
-    cdf = 0.5 * (1.0 + erf(x64 * (1.0 / np.sqrt(2.0))))
+    if x.dtype == np.float32:
+        cdf = 0.5 * erfc(-x64 / np.sqrt(2.0))
+    else:
+        cdf = 0.5 * (1.0 + erf(x64 * (1.0 / np.sqrt(2.0))))
     pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x64 * x64)
     return (x64 * cdf).astype(x.dtype), (g * (cdf + x64 * pdf)).astype(x.dtype)
 

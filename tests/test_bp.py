@@ -80,22 +80,15 @@ def ref_bp_decode_batch(llr, h, cfg):
         posterior = llr + totals
         v2c = (posterior[:, var_of_edge]) - c2v
         hd = (posterior < 0).astype(np.uint8)
-        if cfg.early_stop:
-            zero_syn = ~syndrome(hd).any(axis=-1)
-            newly = zero_syn & ~done
-            out[newly] = hd[newly]
-            iters[newly] = it
-            done |= newly
-            if done.all():
-                break
-    converged = done.copy()
-    if not cfg.early_stop:
-        hd = (posterior < 0).astype(np.uint8)
-        converged = ~syndrome(hd).any(axis=-1)
-        out = hd
-    else:
-        out[~done] = hd[~done]
-    return out, iters, converged
+        zero_syn = ~syndrome(hd).any(axis=-1)
+        newly = zero_syn & ~done
+        out[newly] = hd[newly]
+        iters[newly] = it
+        done |= newly
+        if done.all():
+            break
+    out[~done] = hd[~done]
+    return out, iters, done
 
 
 def awgn_llr(code, ebn0_db, rng):
@@ -200,7 +193,7 @@ class TestBpDecode:
         rng = np.random.default_rng(seed)
         llr = rng.standard_normal(7) * 3
         llr[llr == 0] = 0.5
-        cfg = BpConfig(max_iters=8, early_stop=False)
+        cfg = BpConfig(max_iters=8)
         a, _, _ = bp_decode(llr, graph, cfg)
         b, _, _ = bp_decode(-llr, graph, cfg)
         assert np.array_equal(a ^ 1, b)
@@ -233,7 +226,6 @@ class TestBpDecode:
     @given(
         name=st.sampled_from(["hamming_7_4", "bch_15_7", "ldpc_32_16", "ldpc_49_24"]),
         algorithm=st.sampled_from(["sum_product", "min_sum"]),
-        early_stop=st.booleans(),
         max_iters=st.integers(1, 12),
         rows=st.integers(1, 12),
         scale=st.floats(0.5, 6.0),
@@ -241,14 +233,14 @@ class TestBpDecode:
     )
     @settings(max_examples=40, deadline=None)
     def test_each_batch_row_equals_its_single_decode(
-        self, name, algorithm, early_stop, max_iters, rows, scale, seed
+        self, name, algorithm, max_iters, rows, scale, seed
     ):
         # random LLR rows around the all-zero codeword, a mix of frames that
         # converge early, late and never
         graph = TannerGraph(get_code(name).pcm)
         rng = np.random.default_rng(seed)
         llr = scale + scale * rng.standard_normal((rows, graph.n))
-        cfg = BpConfig(max_iters=max_iters, algorithm=algorithm, early_stop=early_stop)
+        cfg = BpConfig(max_iters=max_iters, algorithm=algorithm)
         outs, iters, conv = bp_decode_batch(llr, graph, cfg)
         for b in range(rows):
             o, i, c = bp_decode(llr[b], graph, cfg)
@@ -258,18 +250,17 @@ class TestBpDecode:
     @given(
         name=st.sampled_from(list_codes()),
         algorithm=st.sampled_from(["sum_product", "min_sum"]),
-        early_stop=st.booleans(),
         max_iters=st.integers(1, 20),
         ebn0=st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=16),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_frozen_full_batch_reference(self, name, algorithm, early_stop, max_iters, ebn0, seed):
+    def test_matches_frozen_full_batch_reference(self, name, algorithm, max_iters, ebn0, seed):
         # one Eb/N0 per row: frames that converge early, late and never share
         # a batch, so frames leave the working arrays at different iterations
         code = get_code(name)
         llr = awgn_llr(code, ebn0, np.random.default_rng(seed))
-        cfg = BpConfig(max_iters=max_iters, algorithm=algorithm, early_stop=early_stop)
+        cfg = BpConfig(max_iters=max_iters, algorithm=algorithm)
         got = bp_decode_batch(llr, TannerGraph(code.pcm), cfg)
         ref = ref_bp_decode_batch(llr, code.pcm, cfg)
         for a, b in zip(got, ref):
@@ -297,13 +288,12 @@ class TestBpDecode:
         # an all-zero PCM column gives a variable with no edges: its decision
         # is its channel LLR's sign
         llr = np.array([[2.0, 1.5, -0.5, -3.0, 1.0], [1.0, 1.0, 1.0, 1.0, -0.2]])
-        for early_stop in (True, False):
-            cfg = BpConfig(max_iters=5, early_stop=early_stop)
-            got = bp_decode_batch(llr, TannerGraph(h), cfg)
-            ref = ref_bp_decode_batch(llr, h, cfg)
-            for a, b in zip(got, ref):
-                assert np.array_equal(a, b)
-            assert (got[0][:, 3] == [1, 0]).all()
+        cfg = BpConfig(max_iters=5)
+        got = bp_decode_batch(llr, TannerGraph(h), cfg)
+        ref = ref_bp_decode_batch(llr, h, cfg)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        assert (got[0][:, 3] == [1, 0]).all()
 
     def test_nonconvergence_is_flag_not_error(self, hamming_graph):
         llr = np.array([0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1])

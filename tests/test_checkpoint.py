@@ -53,13 +53,24 @@ def test_ensemble_checkpoint_embeds_branch_pcms(tmp_path):
     params = init_params(base, None, seed=6)
     path = save_checkpoint(
         tmp_path / "ens.npz", kind="ensemble", model_cfg=base, codes=[code], params=params,
-        seed=6, step=0, epoch=0, branch_pcms=list(ens.pcms), extra={"p": 3},
+        seed=6, step=0, epoch=0, branch_pcms=list(ens.pcms),
     )
     ck = load_checkpoint(path)
     assert ck.kind == "ensemble"
     assert len(ck.branch_pcms) == 3
     for stored, built in zip(ck.branch_pcms, ens.pcms):
         assert stored == built
+
+
+def test_ensemble_checkpoint_without_branch_pcms_is_refused(tmp_path):
+    # the stored branch PCMs are the one record of the branch count
+    base = ModelConfig(variant=Variant.FCROSSMPT, n_layers=1, embed_dim=8)
+    path = save_checkpoint(
+        tmp_path / "ens.npz", kind="ensemble", model_cfg=base, codes=[get_code("bch_31_21")],
+        params=init_params(base, None, seed=6), seed=6, step=0, epoch=0,
+    )
+    with pytest.raises(CheckpointError, match="branch"):
+        load_checkpoint(path)
 
 
 def test_rejects_foreign_files(tmp_path):
@@ -179,9 +190,28 @@ class TestRetiredKeys:
         assert resumed.epoch_losses == whole.epoch_losses
         assert self.params(resumed.checkpoint_path) == self.params(whole.checkpoint_path)
 
+    def test_old_ensemble_header_decodes_bitwise(self, tmp_path):
+        # the branch count comes from the stored branch PCMs; the header's
+        # older records of it are ignored
+        from crossmpt.cli import _decoder_from_checkpoint
+
+        cfg = replace(self.CFG, codes=("bch_31_21",), variant="crossed", p=3, epochs=1)
+        report = train(cfg, out_dir=tmp_path)
+        old = tmp_path / "old.npz"
+        shutil.copy(report.checkpoint_path, old)
+        rewrite_checkpoint_header(old)
+        code = get_code("bch_31_21")
+        new_dec = _decoder_from_checkpoint(report.checkpoint_path, code)
+        old_dec = _decoder_from_checkpoint(str(old), code)
+        assert old_dec.ens.pcms == new_dec.ens.pcms and old_dec.ens.p == 3
+        batch = sample_batch(new_dec.code, NoiseSpec.for_code(new_dec.code, 4.0, seed=23), 16,
+                             policy="random")
+        assert (old_dec.logits_batch(batch.mag, list(batch.syndromes)).data.tobytes()
+                == new_dec.logits_batch(batch.mag, list(batch.syndromes)).data.tobytes())
+
     @pytest.mark.parametrize(
         "key,value", [("norm_order", "post"), ("per_batch_ebn0", True),
-                      ("code_sampling", "proportional")],
+                      ("code_sampling", "proportional"), ("clip_norm", 1e300)],
     )
     def test_other_values_are_refused(self, tmp_path, key, value):
         report = train(self.CFG, out_dir=tmp_path, interrupt_after=1)

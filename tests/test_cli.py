@@ -81,6 +81,21 @@ class TestTrainCommand:
         assert result.exit_code == 3
         assert "numeric failure" in result.output
 
+    def test_config_file_keys_hold_unless_a_flag_overrides_them(self, runner, tmp_path):
+        config = tmp_path / "mix.cfg"
+        config.write_text(
+            "codes = bch_15_7, hamming_7_4\nvariant = fcrossmpt\nn_layers = 1\n"
+            "embed_dim = 8\nepochs = 1\nbatches_per_epoch = 2\nbatch_size = 4\n"
+        )
+        result = invoke(runner, "train", "--config", config, "--epochs", 2, "--out", tmp_path / "a")
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config"]["variant"] == "fcrossmpt"
+        assert manifest["config"]["epochs"] == 2
+        result = runner.invoke(main, ["train", "--config", str(config), "--variant", "crossmpt",
+                                      "--out", str(tmp_path / "b")])
+        assert result.exit_code == 2 and "multi-code" in result.output
+
     def test_multicode_foundation_training(self, runner, tmp_path):
         out = tmp_path / "multi"
         result = invoke(
@@ -408,13 +423,15 @@ class TestConfigurationErrorsExit2:
         (["--code", "bch_15_7", "--heads", "3"], "heads"),
         (["--code", "bch_15_7", "--variant", "crossed", "--p", "9"], "p=9"),
         (["--codes", "bch_15_7,hamming_7_4", "--variant", "crossmpt"], "multi-code"),
-    ], ids=["heads", "crossed_p", "multi_code"])
+        (["--code", "bch_9_9"], "bch_9_9"),
+    ], ids=["heads", "crossed_p", "multi_code", "unknown_code"])
     def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
         result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
         self.assert_config_error(result, cause)
 
     @pytest.mark.parametrize("key,value", [
         ("norm_order", "post"), ("per_batch_ebn0", True), ("code_sampling", "proportional"),
+        ("clip_norm", 1e300),
     ])
     def test_removed_setting_in_checkpoint(self, runner, tmp_path, key, value):
         args = ["train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8",
@@ -430,6 +447,23 @@ class TestConfigurationErrorsExit2:
         self.assert_config_error(result, key)
         result = runner.invoke(main, args + ["--resume", str(path), "--out", str(tmp_path / "second")])
         self.assert_config_error(result, key)
+
+    @pytest.mark.parametrize("args,cause", [
+        (["--ebn0", ""], "Eb/N0"),
+        (["--ebn0", " , ", "--bitwise"], "Eb/N0"),
+        (["--max-bits", "0"], "max_bits"),
+        (["--min-errors", "-1"], "min_errors"),
+        (["--min-errors", "0"], "min_errors"),
+    ], ids=["ebn0_empty", "ebn0_empty_bitwise", "max_bits_0", "min_errors_negative",
+            "min_errors_0"])
+    def test_eval_empty_measurement(self, runner, tmp_path, args, cause):
+        # a run that would send no bits is refused, not reported as error-free
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "uncoded", *args,
+            "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, cause)
+        assert not (tmp_path / "out" / "ber_report.csv").exists()
 
     @pytest.mark.parametrize("layers", ["one..two", "2..1", "0..1", "2..3"])
     def test_dump_attention_malformed_layers(self, runner, tmp_path, tiny_checkpoint, layers):

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from crossmpt.channel import NoiseSpec, sample_batch
-from crossmpt.codes import get_code
+from crossmpt.codes import get_code, list_codes
 from crossmpt.ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report
-from crossmpt.gf2 import gf2_matmul, rank, stack_rows, systematic_form
+from crossmpt.gf2 import (
+    complementary_pcm,
+    gf2_matmul,
+    is_cyclic_row_space,
+    rank,
+    stack_rows,
+    systematic_form,
+)
 from crossmpt.models import DecoderModel, ModelConfig, Variant, init_params, param_count
 
 
@@ -46,6 +53,19 @@ class TestBuildEnsemble:
     def test_p_exceeding_limit_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             build_ensemble(get_code("bch_31_21"), 5, base=base_cfg())
+
+    @pytest.mark.parametrize(
+        "name", [nm for nm in list_codes() if is_cyclic_row_space(get_code(nm).pcm)]
+    )
+    def test_cyclic_branches_are_the_complementary_pcms(self, name):
+        # the window RREF of a cyclic code is the paper's cyclic column shift
+        # of [I | P], for every branch of every valid p
+        code = get_code(name)
+        h_sys = systematic_form(code.pcm)
+        limit = -(-code.n // (code.n - code.k))
+        for p in range(1, limit + 1):
+            ens = build_ensemble(code, p, base=base_cfg())
+            assert ens.pcms == tuple(complementary_pcm(h_sys, b) for b in range(p)), f"p={p}"
 
     def test_non_cyclic_fallback_diagonalizes(self):
         code = get_code("ldpc_32_16")

@@ -105,7 +105,7 @@ class TestTrainLoop:
     def test_nan_loss_aborts_with_diagnostics(self):
         bad = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
                           epochs=1, batches_per_epoch=50, batch_size=16,
-                          lr0=1e200, lr_min=1e198, seed=1, clip_norm=1e300)
+                          lr0=1e200, lr_min=1e198, seed=1)
         with pytest.raises(NumericFailure, match="epoch 0"):
             train(bad)
 
@@ -154,7 +154,7 @@ class TestTrainLoop:
             train(cfg, out_dir=tmp_path)
             assert seen == [1, 1] and get() == 2
             with pytest.raises(NumericFailure):
-                train(replace(cfg, lr0=1e200, lr_min=1e198, clip_norm=1e300, batches_per_epoch=50))
+                train(replace(cfg, lr0=1e200, lr_min=1e198, batches_per_epoch=50))
             assert get() == 2
         finally:
             put(before)
