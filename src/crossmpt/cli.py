@@ -204,7 +204,10 @@ def _decoder_from_checkpoint(path: str, code):
         if same_pcm and len(ck.codes) == 1:
             ens = EnsembleConfig(code=code, base=cfg, pcms=tuple(ck.branch_pcms))
         else:
-            ens = build_ensemble(code, len(ck.branch_pcms), base=cfg)
+            try:
+                ens = build_ensemble(code, len(ck.branch_pcms), base=cfg)
+            except ValueError as exc:
+                raise ConfigError(f"cannot decode {code.name} with the checkpoint's branches: {exc}") from exc
         return CrossEDModel(ens, params=ck.params, infer_only=True)
     if not cfg.code_agnostic:
         if trained is None:

@@ -1,10 +1,12 @@
 """Thread and heap use of training and evaluation: OpenBLAS pinned to one
-thread, freed heap memory kept in the process, and a decode batch split by
-rows over the process's cores.
+thread, freed heap memory kept in the process, and work split by rows over
+the process's cores.
 
 Every primitive computes a frame's values from that frame's rows alone, so a
 batch decoded in contiguous row slices, one slice per thread, gives bitwise
-the logits of one pass over the whole batch, for any thread count.
+the logits of one pass over the whole batch, for any thread count. A
+training step runs its fixed row halves through `map_slices`, so its results
+depend on the halves and not on the thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["keep_freed_heap", "one_blas_thread", "share_cores", "split_rows"]
+__all__ = ["keep_freed_heap", "map_slices", "one_blas_thread", "share_cores", "split_rows"]
 
 # glibc mallopt (param, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the
 # largest value 64-bit glibc accepts, and M_TRIM_THRESHOLD (-1)
@@ -50,7 +52,7 @@ def one_blas_thread():
 
     The GEMMs of a training step and of a decode call are big enough for
     OpenBLAS to thread but too small to gain from it; its threads then wait
-    for a core, and in evaluation they compete with the decode threads.
+    for a core, and they compete with the row threads of `map_slices`.
     """
     calls = _openblas_thread_calls()
     if calls is None:
@@ -118,23 +120,39 @@ def _helper_pool(size: int) -> ThreadPoolExecutor:
     return _helpers[2]
 
 
-def split_rows(fn, frames: int) -> np.ndarray:
-    """fn(rows) over t = min(threads, frames) contiguous row slices of a
-    batch, concatenated along the first axis.
+def _threads() -> int:
+    """This process's share of the cores."""
+    return max(1, _cores() // _processes)
 
-    threads is this process's share of the cores. The calling thread computes
-    the first slice and helper threads the others; each fn call must depend
-    only on the rows it is given.
+
+def map_slices(fn, slices: list[slice]) -> list:
+    """[fn(s) for s in slices], computed on min(threads, len(slices)) threads.
+
+    threads is this process's share of the cores. The slices are dealt to the
+    threads in contiguous groups, the calling thread computing the first group
+    and helper threads the others; results come back in slice order. Each fn
+    call must depend only on the slice it is given.
     """
-    t = min(max(1, _cores() // _processes), frames)
-    if t <= 1:
-        return fn(slice(0, frames))
-    edges = [frames * i // t for i in range(t + 1)]
-    slices = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    futures = [_helper_pool(t - 1).submit(fn, rows) for rows in slices[1:]]
+    t = min(_threads(), len(slices))
+    groups = [slices[len(slices) * i // t : len(slices) * (i + 1) // t] for i in range(t)]
+
+    def run(group):
+        return [fn(rows) for rows in group]
+
+    futures = [_helper_pool(t - 1).submit(run, group) for group in groups[1:]]
     try:
-        parts = [fn(slices[0])]
+        out = run(groups[0])
     finally:
         wait(futures)
-    parts += [f.result() for f in futures]
-    return np.concatenate(parts)
+    for f in futures:
+        out += f.result()
+    return out
+
+
+def split_rows(fn, frames: int) -> np.ndarray:
+    """fn(rows) over t = min(threads, frames) contiguous row slices of a
+    batch, one slice per thread, concatenated along the first axis."""
+    t = min(_threads(), frames)
+    edges = [frames * i // t for i in range(t + 1)]
+    parts = map_slices(fn, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
+    return parts[0] if t == 1 else np.concatenate(parts)

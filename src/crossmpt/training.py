@@ -1,11 +1,17 @@
 """Training loop: all-zero-codeword sampling, flipped-placement binary
 cross-entropy on the multiplicative-noise targets, Adam with cosine decay,
 deterministic per-(epoch, batch) data streams, and exact interrupt/resume.
+
+Each step runs its batch as fixed row halves in parallel: every half does its
+own forward, loss and backward on leaves that share the parameter arrays, and
+the halves' losses and gradients are added in half order. The halves depend
+only on the batch size, so a step is bitwise the same for any core count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,7 +26,7 @@ from .codes import Code, get_code, list_codes
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
-from .parallel import keep_freed_heap, one_blas_thread
+from .parallel import keep_freed_heap, map_slices, one_blas_thread
 
 __all__ = [
     "TrainConfig",
@@ -37,6 +43,10 @@ _TAG_DATA = 1
 _TAG_CODESEL = 2
 
 _CLIP_NORM = 1.0  # global gradient-norm clip of every step
+_HALVES = 2  # row groups of every step; a batch of one row is one group
+
+# per-epoch gradient-norm columns of training_log.csv, kept in checkpoints
+_NORM_COLUMNS = ("grad_norm_mean", "grad_norm_max", "clip_frac")
 
 
 class NumericFailure(RuntimeError):
@@ -113,8 +123,14 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """Per-epoch records; the gradient norms are the pre-clip global norms of
+    the epoch's steps, and None for epochs of a checkpoint that predates them."""
+
     epoch_losses: list[float] = field(default_factory=list)
     lr_trace: list[float] = field(default_factory=list)
+    grad_norm_mean: list[float | None] = field(default_factory=list)
+    grad_norm_max: list[float | None] = field(default_factory=list)
+    clip_frac: list[float | None] = field(default_factory=list)
     wall_time_s: float = 0.0
     checkpoint_path: str = ""
 
@@ -152,10 +168,41 @@ class _Lane:
             self.sampling_code, train_cfg.ebn0_lo, train_cfg.ebn0_hi, seed=train_cfg.seed
         )
 
-    def logits(self, params, model_cfg, batch) -> Tensor:
+    def logits(self, params, model_cfg, mag: np.ndarray, syndromes: list[np.ndarray]) -> Tensor:
         if self.ens is not None:
-            return crossed_forward(params, self.ens, batch.mag, list(batch.syndromes))
-        return forward_arrays(params, model_cfg, self.sampling_code.pcm, batch.mag, batch.syndromes[0])
+            return crossed_forward(params, self.ens, mag, syndromes)
+        return forward_arrays(params, model_cfg, self.sampling_code.pcm, mag, syndromes[0])
+
+
+def _row_halves(batch_size: int) -> list[slice]:
+    groups = min(_HALVES, batch_size)
+    edges = [batch_size * i // groups for i in range(groups + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _step_gradients(params: dict[str, Tensor], lane: _Lane, model_cfg: ModelConfig, batch) -> float:
+    """Set every parameter's gradient of the batch-mean loss; return that loss.
+
+    Each fixed row half runs forward, loss and backward on its own leaves,
+    which share the parameter arrays, and seeds its backward with its share
+    of the batch mean; the halves run concurrently on the process's cores
+    (`map_slices`) and their results are added in half order.
+    """
+    size = len(batch)
+
+    def half(rows: slice):
+        leaves = {name: ad.parameter(p.data, p.dtype) for name, p in params.items()}
+        logits = lane.logits(leaves, model_cfg, batch.mag[rows], [s[rows] for s in batch.syndromes])
+        loss_t = loss(logits, batch.target[rows])
+        share = (rows.stop - rows.start) / size
+        value = share * loss_t.item()
+        loss_t.backward(np.asarray(share))
+        return value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    values, grads = zip(*map_slices(half, _row_halves(size)))
+    for name, p in params.items():
+        p.grad = functools.reduce(np.add, (g[name] for g in grads))
+    return sum(values)
 
 
 def _select_lane(lanes: list[_Lane], cfg: TrainConfig, epoch: int, batch: int) -> _Lane:
@@ -189,8 +236,9 @@ def train(
     run interrupted at any epoch boundary and resumed from its checkpoint
     reproduces the uninterrupted trajectory bitwise. Raises NumericFailure at
     the step where the loss or the pre-clip gradient norm leaves the finite
-    range. OpenBLAS runs on one thread for the duration of the call, and
-    freed heap memory stays in the process (`keep_freed_heap`).
+    range. Each step runs as fixed row halves on up to two cores
+    (`_step_gradients`), OpenBLAS runs on one thread for the duration of the
+    call, and freed heap memory stays in the process (`keep_freed_heap`).
     """
     keep_freed_heap()
     started = time.perf_counter()
@@ -208,9 +256,12 @@ def train(
         params = ck.params
         adam = ck.adam
         start_epoch = int(ck.header["epoch"])
+        extra = ck.header["extra"]
+        losses = list(extra.get("epoch_losses", []))
         report = TrainReport(
-            epoch_losses=list(ck.header["extra"].get("epoch_losses", [])),
-            lr_trace=list(ck.header["extra"].get("lr_trace", [])),
+            epoch_losses=losses,
+            lr_trace=list(extra.get("lr_trace", [])),
+            **{key: list(extra.get(key, [None] * len(losses))) for key in _NORM_COLUMNS},
         )
     else:
         param_code = None if model_cfg.code_agnostic else codes[0]
@@ -238,12 +289,16 @@ def train(
             adam=adam,
             branch_pcms=list(lanes[0].ens.pcms) if cfg.is_ensemble else None,
             train_cfg={**asdict(cfg), "codes": list(cfg.codes)},
-            extra={"epoch_losses": report.epoch_losses, "lr_trace": report.lr_trace},
+            extra={
+                "epoch_losses": report.epoch_losses,
+                "lr_trace": report.lr_trace,
+                **{key: getattr(report, key) for key in _NORM_COLUMNS},
+            },
         )
 
     final_path: Path | None = None
     for epoch in range(start_epoch, cfg.epochs):
-        batch_losses = []
+        batch_losses, norms = [], []
         for b in range(cfg.batches_per_epoch):
             step = epoch * cfg.batches_per_epoch + b
             lr = cosine_lr(step, schedule_steps, cfg.lr0, cfg.lr_min)
@@ -257,17 +312,12 @@ def train(
                 policy="all_zero",
                 stream=(_TAG_DATA, epoch, b),
             )
-            for p in params.values():
-                p.zero_grad()
-            loss_t = loss(lane.logits(params, model_cfg, batch), batch.target)
-            value = loss_t.item()
+            value = _step_gradients(params, lane, model_cfg, batch)
             if not np.isfinite(value):
                 raise NumericFailure(
                     f"non-finite loss {value} at epoch {epoch} batch {b} "
                     f"(code {lane.name}, lr {lr:.3e})"
                 )
-            loss_t.backward()
-            del loss_t  # the step's graph; freed before the next forward
             grad_norm = clip_global_norm(params, _CLIP_NORM)
             if not np.isfinite(grad_norm):
                 raise NumericFailure(
@@ -276,7 +326,11 @@ def train(
                 )
             adam_step(params, adam, lr)
             batch_losses.append(value)
+            norms.append(grad_norm)
         report.epoch_losses.append(float(np.mean(batch_losses)))
+        report.grad_norm_mean.append(float(np.mean(norms)))
+        report.grad_norm_max.append(max(norms))
+        report.clip_frac.append(sum(n > _CLIP_NORM for n in norms) / len(norms))
         done = epoch + 1
         if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
             save(done, f"epoch{done:04d}")
@@ -297,9 +351,10 @@ def train(
 def _write_log(path: Path, report: TrainReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "lr"])
-        for i, (ls, lr) in enumerate(zip(report.epoch_losses, report.lr_trace), start=1):
-            writer.writerow([i, repr(ls), repr(lr)])
+        writer.writerow(["epoch", "mean_loss", "lr", *_NORM_COLUMNS])
+        columns = (report.epoch_losses, report.lr_trace, *(getattr(report, key) for key in _NORM_COLUMNS))
+        for i, row in enumerate(zip(*columns), start=1):
+            writer.writerow([i, *("" if v is None else repr(v) for v in row)])
 
 
 def parse_config_file(path: str | Path) -> dict:

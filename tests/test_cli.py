@@ -473,6 +473,26 @@ class TestConfigurationErrorsExit2:
         ])
         self.assert_config_error(result, "--layers")
 
+    @pytest.fixture(scope="class")
+    def p3_checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("p3")
+        invoke(CliRunner(), "train", "--code", "bch_31_21", "--variant", "crossed", "--p", 3,
+               "--n-layers", 1, "--dim", 8, "--epochs", 1, "--batches-per-epoch", 1,
+               "--batch-size", 4, "--out", out)
+        return out / "checkpoint_final.npz"
+
+    @pytest.mark.parametrize("command", ["eval", "dump-attention"])
+    def test_crossed_checkpoint_with_more_branches_than_the_code_takes(
+        self, runner, tmp_path, p3_checkpoint, command
+    ):
+        # ldpc_32_16 takes at most ceil(32/16) = 2 branches
+        extra = ["--ebn0", "4", "--max-bits", "640"] if command == "eval" else []
+        result = runner.invoke(main, [
+            command, "--checkpoint", str(p3_checkpoint), "--code", "ldpc_32_16", *extra,
+            "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "p=3 outside 1..2")
+
 
 class TestBuildEnsembleCommand:
     def test_bch_31_21_p3(self, runner, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import weakref
@@ -207,23 +208,25 @@ class TestTrainLoop:
 
 
 class TestStepMemory:
-    """A step's graph dies before the next step samples its batch, and
-    backward keeps no interior gradient, so training holds one graph."""
+    """A step's graphs (one per row half) die before the next step samples
+    its batch, and backward keeps no interior gradient, so training holds one
+    batch's graph."""
 
     def test_previous_step_graph_is_dead_when_the_next_step_starts(self, monkeypatch, tmp_path):
         from crossmpt import training
 
         real_loss, real_sample = training.loss, training.sample_batch
-        refs, alive = [], []
+        steps, alive = [], []  # steps[s]: weak references to step s's loss graphs
 
         def spy_loss(logits, target):
             out = real_loss(logits, target)
-            refs.append((weakref.ref(logits.data), weakref.ref(out.data)))
+            steps[-1] += [weakref.ref(logits.data), weakref.ref(out.data)]
             return out
 
         def spy_sample(*args, **kwargs):
-            if refs:
-                alive.append([ref() is not None for ref in refs[-1]])
+            if steps:
+                alive.append(any(ref() is not None for ref in steps[-1]))
+            steps.append([])
             return real_sample(*args, **kwargs)
 
         monkeypatch.setattr(training, "loss", spy_loss)
@@ -231,8 +234,8 @@ class TestStepMemory:
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
                           epochs=2, batches_per_epoch=2, batch_size=8, seed=29)
         train(cfg, out_dir=tmp_path)
-        assert len(refs) == 4
-        assert alive == [[False, False]] * 3
+        assert [len(refs) for refs in steps] == [4] * 4  # two halves a step
+        assert alive == [False] * 3
 
     def test_peak_memory_is_about_one_graph(self, monkeypatch, tmp_path):
         # numpy reports its buffers to tracemalloc; a step that kept the
@@ -285,6 +288,29 @@ class TestResume:
             assert a.adam.m[name].tobytes() == b.adam.m[name].tobytes()
             assert a.adam.v[name].tobytes() == b.adam.v[name].tobytes()
         assert straight.epoch_losses == resumed.epoch_losses
+        log = (tmp_path / "straight" / "training_log.csv").read_bytes()
+        assert log == (tmp_path / "resumed" / "training_log.csv").read_bytes()
+
+    def test_checkpoint_without_norm_columns_resumes_with_empty_cells(self, tmp_path):
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1,
+                          embed_dim=8, epochs=2, batches_per_epoch=3, batch_size=8, seed=16)
+        straight = train(cfg, out_dir=tmp_path / "straight")
+        partial = train(cfg, out_dir=tmp_path / "part", interrupt_after=1)
+        data = dict(np.load(partial.checkpoint_path, allow_pickle=False))
+        header = json.loads(bytes(data["__header__"]).decode())
+        for key in ("grad_norm_mean", "grad_norm_max", "clip_frac"):
+            del header["extra"][key]
+        data["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        old = tmp_path / "old.npz"
+        np.savez(old, **data)
+        resumed = train(cfg, out_dir=tmp_path / "resumed", resume_from=old)
+        assert resumed.epoch_losses == straight.epoch_losses
+        want = (tmp_path / "straight" / "training_log.csv").read_text().splitlines()
+        got = (tmp_path / "resumed" / "training_log.csv").read_text().splitlines()
+        assert want[0] == got[0] == "epoch,mean_loss,lr,grad_norm_mean,grad_norm_max,clip_frac"
+        first = want[1].split(",")
+        assert got[1] == ",".join(first[:3] + ["", "", ""])
+        assert got[2] == want[2]
 
     def test_resume_refuses_changed_batch_size(self, tmp_path):
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1,
@@ -301,6 +327,87 @@ class TestResume:
         changed = TrainConfig(**{**cfg.__dict__, "codes": ("bch_15_7",)})
         with pytest.raises(ConfigMismatchError, match="codes"):
             train(changed, resume_from=partial.checkpoint_path)
+
+
+class TestNormColumns:
+    def test_log_holds_the_pre_clip_norms_of_each_epoch(self, monkeypatch, tmp_path):
+        from crossmpt import training
+
+        real_clip = training.clip_global_norm
+        norms = []
+
+        def spy_clip(params, max_norm):
+            norms.append(real_clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_global_norm", spy_clip)
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1,
+                          embed_dim=8, epochs=2, batches_per_epoch=4, batch_size=8, seed=12)
+        report = train(cfg, out_dir=tmp_path)
+        for epoch in range(2):
+            steps = norms[4 * epoch : 4 * epoch + 4]
+            assert report.grad_norm_mean[epoch] == float(np.mean(steps))
+            assert report.grad_norm_max[epoch] == max(steps)
+            assert report.clip_frac[epoch] == sum(n > 1.0 for n in steps) / 4
+        rows = (tmp_path / "training_log.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:] for row in rows] == [
+            [repr(report.grad_norm_mean[e]), repr(report.grad_norm_max[e]),
+             repr(report.clip_frac[e])] for e in range(2)
+        ]
+
+
+INVARIANCE_CONFIGS = {
+    "crossmpt": dict(codes=("bch_15_7",), variant="crossmpt"),
+    "ecct": dict(codes=("hamming_7_4",), variant="ecct"),
+    "fcrossmpt_mixture": dict(codes=("hamming_7_4", "bch_15_7"), variant="fcrossmpt"),
+    "crossed_p2": dict(codes=("bch_15_7",), variant="crossed", p=2),
+}
+
+
+class TestThreadCountInvariance:
+    """A step runs fixed row halves, so its loss and gradients, and a whole
+    run, are bitwise the same on one core and on two."""
+
+    @staticmethod
+    def config(name, dtype, batch_size):
+        return TrainConfig(**INVARIANCE_CONFIGS[name], n_layers=1, embed_dim=8, epochs=1,
+                           batches_per_epoch=3, batch_size=batch_size, seed=31, dtype=dtype)
+
+    @pytest.mark.parametrize("batch_size", [7, 1])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", list(INVARIANCE_CONFIGS))
+    def test_step_and_run_are_bitwise_equal_at_one_and_two_cores(
+        self, monkeypatch, tmp_path, name, dtype, batch_size
+    ):
+        from crossmpt import parallel, training
+        from crossmpt.models import init_params
+
+        cfg = self.config(name, dtype, batch_size)
+        model_cfg = cfg.model_config()
+        codes = [get_code(c) for c in cfg.codes]
+        monkeypatch.setattr(parallel, "_processes", 1)
+        steps, runs = {}, {}
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "_cores", lambda cores=cores: cores)
+            params = init_params(model_cfg, None if model_cfg.code_agnostic else codes[0],
+                                 seed=4, dtype=np.dtype(dtype))
+            outcome = []
+            for code in codes:
+                lane = training._Lane(cfg, model_cfg, code)
+                batch = sample_batch(lane.sampling_code, lane.spec, batch_size, stream=(1, 0, 0))
+                value = training._step_gradients(params, lane, model_cfg, batch)
+                outcome.append((value, {k: p.grad.tobytes() for k, p in params.items()}))
+            steps[cores] = outcome
+            report = train(cfg, out_dir=tmp_path / str(cores))
+            ck = load_checkpoint(report.checkpoint_path)
+            runs[cores] = (
+                report.epoch_losses,
+                {k: p.data.tobytes() for k, p in ck.params.items()},
+                {k: ck.adam.m[k].tobytes() + ck.adam.v[k].tobytes() for k in ck.params},
+                (tmp_path / str(cores) / "training_log.csv").read_bytes(),
+            )
+        assert steps[1] == steps[2]
+        assert runs[1] == runs[2]
 
 
 class TestConfigFile:
