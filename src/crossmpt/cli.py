@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -89,8 +90,27 @@ def _resolve_code(name: str | None, pcm_file: str | None):
 
 @click.group()
 @click.version_option(__version__)
-def main() -> None:
+@click.option("-v", "--verbose", is_flag=True, help="log progress to stderr")
+@click.pass_context
+def main(ctx, verbose) -> None:
     """Channel-coding laboratory: train, evaluate, and analyze decoders."""
+    if verbose:
+        # the handler prints each record once: records do not also reach a
+        # handler of the embedding program while it is attached
+        logger = logging.getLogger("crossmpt")
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+        before = logger.level, logger.propagate
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        logger.propagate = False
+
+        def detach():
+            logger.removeHandler(handler)
+            logger.setLevel(before[0])
+            logger.propagate = before[1]
+
+        ctx.call_on_close(detach)
 
 
 @main.group()

@@ -5,13 +5,17 @@ Decoders are objects with decode_batch(BatchSample) -> (B, n) bits; a
 single frame is a one-row batch.
 Sampling streams are pure functions of (seed, snr index, chunk index) and
 chunk results are merged in index order, so counts are bit-identical for any
-worker count.
+worker or thread count.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
+import functools
+import itertools
+import logging
+import time
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
 from .models import ModelConfig
-from .parallel import keep_freed_heap, one_blas_thread, share_cores
+from .parallel import keep_freed_heap, one_blas_thread, share_cores, submit
 
 __all__ = [
     "StopRule",
@@ -45,6 +49,7 @@ __all__ = [
 ]
 
 _TAG_EVAL = 3
+_log = logging.getLogger(__name__)
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # Published mask densities (percent) for bundled codes, (cross, self) pairs,
@@ -70,6 +75,9 @@ class StopRule:
                 f"min_errors and max_bits must be >= 1, got min_errors={self.min_errors}, "
                 f"max_bits={self.max_bits}"
             )
+
+    def reached(self, row: "BerRow") -> bool:
+        return row.bit_errors >= self.min_errors or row.bits_sent >= self.max_bits
 
 
 @dataclass
@@ -165,23 +173,30 @@ class BpDecoder:
         self.rate = code.rate
         self.name = f"bp_{cfg.algorithm}_{cfg.max_iters}"
 
-    def _llr(self, y: np.ndarray, ebn0_db: np.ndarray) -> np.ndarray:
-        sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (np.atleast_1d(ebn0_db) / 10.0))
-        return 2.0 * y / sigma2[:, None]
+    def llr(self, batch: BatchSample) -> np.ndarray:
+        sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (np.atleast_1d(batch.ebn0_db) / 10.0))
+        return 2.0 * batch.y / sigma2[:, None]
 
-    def decode_batch(self, batch: BatchSample) -> np.ndarray:
-        out, _, _ = bp_decode_batch(self._llr(batch.y, batch.ebn0_db), self.graph, self.cfg)
+    def decode_llr(self, llr: np.ndarray) -> np.ndarray:
+        out, _, _ = bp_decode_batch(llr, self.graph, self.cfg)
         return out
 
+    def decode_batch(self, batch: BatchSample) -> np.ndarray:
+        return self.decode_llr(self.llr(batch))
 
-def _decode_chunk(
-    decoder, code: Code, policy: str, spec: NoiseSpec, count: int, stream
-) -> tuple[int, np.ndarray, int]:
-    """Decode one seeded chunk, return (bit errors, per-bit errors, frame
-    errors)."""
-    batch = sample_batch(code, spec, count, policy=policy, stream=stream)
-    xhat = decoder.decode_batch(batch)
-    errs = (xhat ^ batch.x).astype(np.int64)
+
+def _decoding(decoder, batch: BatchSample):
+    """A chunk's codewords and a call that decodes it. BP reads only the
+    chunk's LLRs, so a BP chunk is reduced to them here: the rest of it is
+    freed before the next chunk is sampled, which then reuses its memory."""
+    if isinstance(decoder, BpDecoder):
+        return batch.x, functools.partial(decoder.decode_llr, decoder.llr(batch))
+    return batch.x, functools.partial(decoder.decode_batch, batch)
+
+
+def _count_errors(x: np.ndarray, decode) -> tuple[int, np.ndarray, int]:
+    """Decode one chunk, return (bit errors, per-bit errors, frame errors)."""
+    errs = (decode() ^ x).astype(np.int64)
     per_bit = errs.sum(axis=0)
     return int(per_bit.sum()), per_bit, int((errs.any(axis=1)).sum())
 
@@ -197,7 +212,56 @@ def _init_worker(decoder, code: Code, policy: str, workers: int) -> None:
 
 
 def _worker_chunk(job) -> tuple[int, np.ndarray, int]:
-    return _decode_chunk(*_worker_state, *job)
+    """Sample one seeded chunk in a pool worker and count its errors."""
+    decoder, code, policy = _worker_state
+    spec, count, stream = job
+    return _count_errors(*_decoding(decoder, sample_batch(code, spec, count, policy, stream)))
+
+
+def _add_chunk(row: BerRow, counts: tuple[int, np.ndarray, int], frames: int, n: int) -> None:
+    bit_err, per_bit, frame_err = counts
+    row.bit_errors += bit_err
+    row.per_bit_errors += per_bit
+    row.frame_errors += frame_err
+    row.frames_sent += frames
+    row.bits_sent += frames * n
+
+
+def _point_in_process(decoder, code: Code, policy: str, spec: NoiseSpec, si: int,
+                      stop: StopRule, chunk_frames: int, row: BerRow) -> None:
+    """Count chunks 0, 1, ... of point si into `row` until the stop rule
+    holds. A helper thread samples the chunks, chunk k+1 while chunk k
+    decodes on this thread if max_bits leaves room for it; a sampled chunk
+    that min_errors makes unneeded is dropped undecoded. No sampling job is
+    left running on return or raise."""
+    def sampled(k):
+        return submit(sample_batch, code, spec, chunk_frames, policy, (_TAG_EVAL, si, k))
+
+    ahead = sampled(0)
+    try:
+        for k in itertools.count(1):
+            x, decode = _decoding(decoder, ahead.result())
+            ahead = None  # the future holds the chunk: free it before sampling the next
+            if k * chunk_frames * code.n < stop.max_bits:
+                ahead = sampled(k)
+            _add_chunk(row, _count_errors(x, decode), chunk_frames, code.n)
+            if stop.reached(row):
+                return
+    finally:
+        if ahead is not None and not ahead.cancel():
+            wait([ahead])
+
+
+def _point_in_pool(pool, code: Code, spec: NoiseSpec, si: int, stop: StopRule,
+                   chunk_frames: int, workers: int, row: BerRow) -> None:
+    """Count point si into `row` in waves of one chunk per worker; the
+    chunks past the stop rule in the last wave are dropped."""
+    for first in itertools.count(0, workers):
+        jobs = [(spec, chunk_frames, (_TAG_EVAL, si, first + w)) for w in range(workers)]
+        for counts in pool.map(_worker_chunk, jobs):
+            _add_chunk(row, counts, chunk_frames, code.n)
+            if stop.reached(row):
+                return
 
 
 @one_blas_thread()
@@ -217,10 +281,12 @@ def estimate_ber(
     decoders by the codeword-invariance property); all_zero is available for
     cross-checks. Deterministic for a fixed seed regardless of workers. With
     workers > 1 the decoder is sent to each worker once, and a job carries
-    only its noise spec, frame count and stream. Neural decoders split each
-    chunk's rows over the cores, which the workers share out; OpenBLAS runs
-    on one thread for the duration of the call. Raises ValueError on an
-    empty Eb/N0 list.
+    only its noise spec, frame count and stream. With one worker the next
+    chunk is sampled on a helper thread while the current one decodes.
+    Neural decoders split each chunk's rows over the cores, which the
+    workers share out; OpenBLAS runs on one thread for the duration of the
+    call. Logs one line per finished point to the `crossmpt.evaluation`
+    logger at INFO. Raises ValueError on an empty Eb/N0 list.
     """
     if not ebn0_list:
         raise ValueError("the Eb/N0 list is empty: no point to evaluate")
@@ -233,28 +299,23 @@ def estimate_ber(
         )
     try:
         for si, ebn0 in enumerate(ebn0_list):
+            t0 = time.perf_counter()
             spec = NoiseSpec.for_code(code, ebn0, seed=seed)
             row = BerRow(
                 ebn0_db=float(ebn0), bits_sent=0, bit_errors=0, frames_sent=0,
                 frame_errors=0, per_bit_errors=np.zeros(code.n, dtype=np.int64),
             )
-            chunk_idx = 0
-            while row.bit_errors < stop.min_errors and row.bits_sent < stop.max_bits:
-                wave = max(1, workers)
-                jobs = [(spec, chunk_frames, (_TAG_EVAL, si, chunk_idx + w)) for w in range(wave)]
-                results = list(pool.map(_worker_chunk, jobs)) if pool else [
-                    _decode_chunk(decoder, code, policy, *j) for j in jobs
-                ]
-                for bit_err, per_bit, frame_err in results:
-                    if row.bit_errors >= stop.min_errors or row.bits_sent >= stop.max_bits:
-                        break  # keep counts identical for any worker count
-                    row.bit_errors += bit_err
-                    row.per_bit_errors += per_bit
-                    row.frame_errors += frame_err
-                    row.frames_sent += chunk_frames
-                    row.bits_sent += chunk_frames * code.n
-                chunk_idx += wave
+            if pool:
+                _point_in_pool(pool, code, spec, si, stop, chunk_frames, workers, row)
+            else:
+                _point_in_process(decoder, code, policy, spec, si, stop, chunk_frames, row)
             report.rows.append(row)
+            seconds = time.perf_counter() - t0
+            _log.info(
+                "%s %s eb/n0 %g dB: %d frames, %d bit errors, %.0f frames/s",
+                report.decoder_name, code.name, row.ebn0_db, row.frames_sent, row.bit_errors,
+                row.frames_sent / seconds,
+            )
     finally:
         if pool:
             pool.shutdown()

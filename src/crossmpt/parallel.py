@@ -6,7 +6,9 @@ Every primitive computes a frame's values from that frame's rows alone, so a
 batch decoded in contiguous row slices, one slice per thread, gives bitwise
 the logits of one pass over the whole batch, for any thread count. A
 training step runs its fixed row halves through `map_slices`, so its results
-depend on the halves and not on the thread count.
+depend on the halves and not on the thread count. `submit` runs one job
+beside them on a helper lane of its own: `estimate_ber` samples its next
+chunk there while the current chunk decodes.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import ctypes
 import functools
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["keep_freed_heap", "map_slices", "one_blas_thread", "share_cores", "split_rows"]
+__all__ = [
+    "keep_freed_heap", "map_slices", "one_blas_thread", "share_cores", "split_rows", "submit",
+]
 
 # glibc mallopt (param, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the
 # largest value 64-bit glibc accepts, and M_TRIM_THRESHOLD (-1)
@@ -102,22 +106,26 @@ def share_cores(processes: int) -> None:
     _processes = max(1, processes)
 
 
-# (pid, size, executor): helper threads kept alive across calls. A process
-# forked from this one inherits the entry but not the threads, so the pid
-# tells it to start its own.
-_helpers: tuple[int, int, ThreadPoolExecutor] | None = None
+# (pid, lanes): helper threads kept alive across calls, one single-thread
+# executor per lane, so the jobs sent to a lane always run on one thread and
+# allocate from that thread's malloc arena. A process forked from this one
+# inherits the entry but not the threads, so the pid tells it to start its
+# own.
+_helpers: tuple[int, tuple[ThreadPoolExecutor, ...]] | None = None
 
 
-def _helper_pool(size: int) -> ThreadPoolExecutor:
-    """A pool of at least `size` helper threads; a smaller pool of this
-    process is shut down when it is replaced, so its idle threads end."""
+def _lanes(size: int) -> tuple[ThreadPoolExecutor, ...]:
+    """At least `size` helper lanes of this process; lanes are added when
+    more are asked for, and each keeps its thread once started."""
     global _helpers
-    pid = os.getpid()
-    if _helpers is None or _helpers[0] != pid or _helpers[1] < size:
-        if _helpers is not None and _helpers[0] == pid:
-            _helpers[2].shutdown()
-        _helpers = (pid, size, ThreadPoolExecutor(size, thread_name_prefix="crossmpt-rows"))
-    return _helpers[2]
+    lanes = _helpers[1] if _helpers is not None and _helpers[0] == os.getpid() else ()
+    if len(lanes) < size:
+        lanes += tuple(
+            ThreadPoolExecutor(1, thread_name_prefix=f"crossmpt-lane{i}")
+            for i in range(len(lanes), size)
+        )
+        _helpers = (os.getpid(), lanes)
+    return lanes
 
 
 def _threads() -> int:
@@ -125,13 +133,22 @@ def _threads() -> int:
     return max(1, _cores() // _processes)
 
 
+def submit(fn, *args) -> Future:
+    """fn(*args) on helper lane threads - 1, the lane past those that
+    `map_slices` takes, so row slices never wait behind this job and every
+    such job runs on one thread. The caller keeps at most one job in flight
+    and reads its result."""
+    t = _threads()
+    return _lanes(t)[t - 1].submit(fn, *args)
+
+
 def map_slices(fn, slices: list[slice]) -> list:
     """[fn(s) for s in slices], computed on min(threads, len(slices)) threads.
 
     threads is this process's share of the cores. The slices are dealt to the
     threads in contiguous groups, the calling thread computing the first group
-    and helper threads the others; results come back in slice order. Each fn
-    call must depend only on the slice it is given.
+    and helper lanes 0, 1, ... the others; results come back in slice order.
+    Each fn call must depend only on the slice it is given.
     """
     t = min(_threads(), len(slices))
     groups = [slices[len(slices) * i // t : len(slices) * (i + 1) // t] for i in range(t)]
@@ -139,7 +156,7 @@ def map_slices(fn, slices: list[slice]) -> list:
     def run(group):
         return [fn(rows) for rows in group]
 
-    futures = [_helper_pool(t - 1).submit(run, group) for group in groups[1:]]
+    futures = [_lanes(t - 1)[i].submit(run, group) for i, group in enumerate(groups[1:])]
     try:
         out = run(groups[0])
     finally:

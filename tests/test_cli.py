@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 import shutil
 
 import numpy as np
@@ -167,17 +169,45 @@ class TestEvalCommand:
         assert not (tmp_path / "nan_eval" / "ber_report.csv").exists()
 
     def test_rerun_is_bitwise_identical(self, runner, tmp_path):
-        outs = []
-        for tag in ("a", "b"):
+        # -v logs one progress line per point to stderr and changes no output
+        outs, logs = [], []
+        for tag, flags in (("a", []), ("b", ["-v"])):
             out = tmp_path / tag
-            invoke(
-                runner, "eval", "--code", "hamming_7_4", "--decoder", "uncoded",
+            result = invoke(
+                runner, *flags, "eval", "--code", "hamming_7_4", "--decoder", "uncoded",
                 "--ebn0", "3,5", "--min-errors", 50, "--max-bits", 30000,
                 "--seed", 9, "--out", out, "--bitwise",
             )
             outs.append(out)
+            logs.append(result.stderr)
         for name in ("ber_report.csv", "bitwise.csv", "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert logs[0] == ""
+        rows = (outs[1] / "ber_report.csv").read_text().splitlines()[1:]
+        lines = logs[1].splitlines()
+        assert len(lines) == len(rows) == 2
+        for line, row in zip(lines, rows):
+            ebn0, _, bit_errors, frames = row.split(",")[:4]
+            assert re.fullmatch(
+                rf"crossmpt\.evaluation: uncoded hamming_7_4 eb/n0 {float(ebn0):g} dB: "
+                rf"{frames} frames, {bit_errors} bit errors, \d+ frames/s", line
+            ), line
+
+    def test_verbose_prints_each_line_once_and_restores_the_logger(self, runner, tmp_path, caplog):
+        # caplog's handler on the root logger stands for an embedding program's
+        logger = logging.getLogger("crossmpt")
+        logger.setLevel(logging.WARNING)
+        try:
+            result = invoke(
+                runner, "-v", "eval", "--code", "hamming_7_4", "--decoder", "uncoded",
+                "--ebn0", "3,5", "--min-errors", 50, "--max-bits", 30000, "--out", tmp_path,
+            )
+            assert len(result.stderr.splitlines()) == 2
+            assert not [r for r in caplog.records if r.name.startswith("crossmpt")]
+            assert logger.level == logging.WARNING and logger.propagate
+            assert not logger.handlers
+        finally:
+            logger.setLevel(logging.NOTSET)
 
     def test_requires_exactly_one_decoder_source(self, runner):
         result = runner.invoke(main, ["eval", "--code", "hamming_7_4"])

@@ -1,5 +1,7 @@
 import platform
 import resource
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from scipy.stats import chi2
 
 from crossmpt import evaluation, parallel
 from crossmpt.bp import BpConfig
-from crossmpt.channel import NoiseSpec, sample
+from crossmpt.channel import NoiseSpec, sample, sample_batch
 from crossmpt.codes import get_code, list_codes
 from crossmpt.ensemble import CrossEDModel, build_ensemble
 from crossmpt.evaluation import (
@@ -127,6 +129,44 @@ class TestEstimateBer:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / chunks < 100
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+    def test_bp_chunks_reuse_freed_heap_memory_on_four_helper_lanes(self, monkeypatch):
+        # a 4-core host: a neural decode between the two calls starts helper
+        # lanes 0-2, and every chunk is still sampled on one thread (lane 3),
+        # so one heap arena holds the sampled chunks
+        monkeypatch.setattr(parallel, "_cores", lambda: 4)
+        monkeypatch.setattr(parallel, "_processes", 1)
+        monkeypatch.setattr(parallel, "_helpers", None)
+        small = get_code("bch_15_7")
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+        model = DecoderModel(cfg, small, seed=47, infer_only=True)
+        samplers = set()
+        real_sample = evaluation.sample_batch
+
+        def spy(*args, **kwargs):
+            samplers.add(threading.get_ident())
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "sample_batch", spy)
+        code = get_code("ldpc_121_80")
+        dec = BpDecoder(code, BpConfig(max_iters=20))
+        try:
+            estimate_ber(dec, code, [4.0], StopRule(min_errors=10**9, max_bits=512 * code.n),
+                         seed=48)
+            model.decode_batch(sample_batch(small, NoiseSpec.for_code(small, 4.0, seed=47), 16))
+            chunks = 4
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            estimate_ber(dec, code, [4.0],
+                         StopRule(min_errors=10**9, max_bits=chunks * 512 * code.n), seed=49)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            lanes = parallel._helpers[1]
+        finally:
+            for lane in parallel._helpers[1]:
+                lane.shutdown()
+        assert len(lanes) == 4 and all(lane._threads for lane in lanes)
+        assert samplers == {next(iter(lanes[3]._threads)).ident}
+        assert faults / chunks < 100
+
     def test_heap_policy_is_a_no_op_off_glibc(self, monkeypatch):
         def no_libc(*_args):
             raise AssertionError("libc must not be loaded off glibc")
@@ -162,19 +202,28 @@ class TestEstimateBer:
         assert all(c == csvs[0] for c in csvs)
 
     def test_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        # chunk 1 is sampled while chunk 0 decodes; the count is restored
+        # only after that job ends, also when the decoder raises
         calls = parallel._openblas_thread_calls()
         if calls is None:
             pytest.skip("numpy does not bundle OpenBLAS")
         get, put = calls
         seen = []
+        chunk_1_started = threading.Event()
         real_sample = evaluation.sample_batch
 
         def spy(*args, **kwargs):
-            seen.append(get())
-            return real_sample(*args, **kwargs)
+            start = get()
+            if args[4][-1] == 1:
+                chunk_1_started.set()
+            out = real_sample(*args, **kwargs)
+            time.sleep(0.05)
+            seen.append((start, get()))
+            return out
 
         class Diverged(IdentityDecoder):
             def decode_batch(self, batch):
+                assert chunk_1_started.wait(timeout=10)
                 raise FloatingPointError("logits are not finite")
 
         monkeypatch.setattr(evaluation, "sample_batch", spy)
@@ -186,10 +235,12 @@ class TestEstimateBer:
         put(2)
         try:
             estimate_ber(model, code, [3.0], stop, seed=33, chunk_frames=64)
-            assert seen == [1, 1] and get() == 2
+            assert seen == [(1, 1), (1, 1)] and get() == 2
+            seen.clear()
+            chunk_1_started.clear()
             with pytest.raises(FloatingPointError):
                 estimate_ber(Diverged(), code, [3.0], stop, seed=33, chunk_frames=64)
-            assert get() == 2
+            assert seen == [(1, 1), (1, 1)] and get() == 2
         finally:
             put(before)
 
@@ -222,6 +273,179 @@ class TestEstimateBer:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("ebn0_db,")
+
+
+def serial_ber(decoder, code, ebn0_list, stop, seed, chunk_frames):
+    """The reference chunk loop: sample chunk k of point si from stream
+    (3, si, k), decode it, count it, stop as soon as the rule holds."""
+    rows = []
+    for si, ebn0 in enumerate(ebn0_list):
+        spec = NoiseSpec.for_code(code, ebn0, seed=seed)
+        row = {"bits": 0, "bit_errors": 0, "frames": 0, "frame_errors": 0,
+               "per_bit": np.zeros(code.n, dtype=np.int64)}
+        k = 0
+        while row["bit_errors"] < stop.min_errors and row["bits"] < stop.max_bits:
+            batch = sample_batch(code, spec, chunk_frames, policy="random", stream=(3, si, k))
+            errs = (decoder.decode_batch(batch) ^ batch.x).astype(np.int64)
+            row["bit_errors"] += int(errs.sum())
+            row["per_bit"] += errs.sum(axis=0)
+            row["frame_errors"] += int(errs.any(axis=1).sum())
+            row["frames"] += chunk_frames
+            row["bits"] += chunk_frames * code.n
+            k += 1
+        rows.append(row)
+    return rows
+
+
+class TestSampleAhead:
+    """estimate_ber samples chunk k+1 on a helper thread while chunk k
+    decodes; it must count what the serial loop counts."""
+
+    @staticmethod
+    def decoder(kind):
+        if kind == "bp":
+            code = get_code("ldpc_121_80")
+            return BpDecoder(code, BpConfig(max_iters=20)), code, [3.5, 4.0], 40
+        if kind == "uncoded":
+            return IdentityDecoder(), get_code("bch_15_7"), [3.0, 5.0], 200
+        code = get_code("bch_15_7")
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+        return DecoderModel(cfg, code, seed=40, infer_only=True), code, [3.0, 5.0], 600
+
+    @pytest.mark.parametrize("kind", ["bp", "uncoded", "crossmpt"])
+    @pytest.mark.parametrize("bound", ["min_errors", "max_bits"])
+    def test_counts_what_the_serial_loop_counts(self, monkeypatch, kind, bound):
+        decoder, code, points, min_errors = self.decoder(kind)
+        frames = 64
+        if bound == "min_errors":
+            stop = StopRule(min_errors=min_errors, max_bits=40 * frames * code.n)
+        else:
+            stop = StopRule(min_errors=10**9, max_bits=int(3.5 * frames * code.n))
+        want = serial_ber(decoder, code, points, stop, seed=41, chunk_frames=frames)
+        bp_calls = []
+        real_bp = evaluation.bp_decode_batch
+
+        def counted(*args, **kwargs):
+            bp_calls.append(len(args[0]))
+            return real_bp(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "bp_decode_batch", counted)
+        report = estimate_ber(decoder, code, points, stop, seed=41, chunk_frames=frames)
+        got = [
+            {"bits": r.bits_sent, "bit_errors": r.bit_errors, "frames": r.frames_sent,
+             "frame_errors": r.frame_errors, "per_bit": r.per_bit_errors}
+            for r in report.rows
+        ]
+        for g, w in zip(got, want, strict=True):
+            assert {k: v for k, v in g.items() if k != "per_bit"} == {
+                k: v for k, v in w.items() if k != "per_bit"}
+            assert np.array_equal(g["per_bit"], w["per_bit"])
+            if bound == "min_errors":  # stopped in the middle of the point
+                assert g["bit_errors"] >= min_errors and frames < g["frames"]
+                assert g["bits"] < stop.max_bits
+            else:
+                assert g["frames"] == 4 * frames and g["bit_errors"] < stop.min_errors
+        if kind == "bp":  # one BP call per counted chunk, none speculative
+            assert bp_calls == [frames] * (sum(r.frames_sent for r in report.rows) // frames)
+
+    @staticmethod
+    def tracked_sampler(monkeypatch, fail_chunk=None, hold_s=0.2):
+        """Replaces evaluation.sample_batch with one that holds each chunk
+        after chunk 0 for hold_s and can raise on one chunk. Returns the
+        list of jobs still running and an event set when chunk 1 starts."""
+        running = []
+        chunk_1_started = threading.Event()
+        real = evaluation.sample_batch
+
+        def spy(*args, **kwargs):
+            chunk = args[4][-1]
+            running.append(chunk)
+            try:
+                if chunk == 1:
+                    chunk_1_started.set()
+                if chunk == fail_chunk:
+                    raise RuntimeError(f"sampling failed on chunk {chunk}")
+                if chunk:
+                    time.sleep(hold_s)
+                return real(*args, **kwargs)
+            finally:
+                running.remove(chunk)
+
+        monkeypatch.setattr(evaluation, "sample_batch", spy)
+        return running, chunk_1_started
+
+    def test_decoder_error_propagates_unchanged_after_sampling_ends(self, monkeypatch):
+        # chunk 0's decode raises while chunk 1 is being sampled
+        running, chunk_1_started = self.tracked_sampler(monkeypatch)
+        error = FloatingPointError("logits are not finite")
+
+        class Diverged(IdentityDecoder):
+            def decode_batch(self, batch):
+                assert chunk_1_started.wait(timeout=10)
+                raise error
+
+        code = get_code("hamming_7_4")
+        with pytest.raises(FloatingPointError) as info:
+            estimate_ber(Diverged(), code, [3.0], StopRule(min_errors=10**9, max_bits=4 * 16 * 7),
+                         seed=42, chunk_frames=16)
+        assert info.value is error
+        assert running == []
+
+    def test_no_sampling_job_outlives_a_stop_on_min_errors(self, monkeypatch):
+        running, chunk_1_started = self.tracked_sampler(monkeypatch)
+
+        class Waits(IdentityDecoder):
+            def decode_batch(self, batch):
+                assert chunk_1_started.wait(timeout=10)
+                return super().decode_batch(batch)
+
+        code = get_code("hamming_7_4")
+        report = estimate_ber(Waits(), code, [3.0], StopRule(min_errors=1, max_bits=4 * 64 * 7),
+                              seed=43, chunk_frames=64)
+        assert report.rows[0].frames_sent == 64
+        assert running == []
+
+    def test_sampling_error_propagates(self, monkeypatch):
+        running, _ = self.tracked_sampler(monkeypatch, fail_chunk=1)
+        code = get_code("hamming_7_4")
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            estimate_ber(IdentityDecoder(), code, [3.0],
+                         StopRule(min_errors=10**9, max_bits=4 * 16 * 7), seed=44, chunk_frames=16)
+        assert running == []
+
+    def test_row_slices_never_wait_behind_sampling(self, monkeypatch):
+        # chunk 1's sampling blocks until a helper thread has decoded a row
+        # slice of chunk 0; a slice queued behind it would wait the timeout
+        monkeypatch.setattr(parallel, "_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_processes", 1)
+        monkeypatch.setattr(parallel, "_helpers", None)
+        code = get_code("bch_15_7")
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+        model = DecoderModel(cfg, code, seed=45, infer_only=True)
+        sliced = threading.Event()
+        waited = []
+        real_logits = model._logits
+        real_sample = evaluation.sample_batch
+
+        def logits(batch, rows):
+            if threading.current_thread() is not threading.main_thread():
+                sliced.set()
+            return real_logits(batch, rows)
+
+        def sampler(*args, **kwargs):
+            if args[4][-1] == 1:
+                waited.append(sliced.wait(timeout=10))
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_logits", logits)
+        monkeypatch.setattr(evaluation, "sample_batch", sampler)
+        try:
+            estimate_ber(model, code, [3.0], StopRule(min_errors=10**9, max_bits=2 * 8 * code.n),
+                         seed=46, chunk_frames=8)
+        finally:
+            for lane in parallel._helpers[1]:
+                lane.shutdown()
+        assert waited == [True]
 
 
 class TestComplexity:

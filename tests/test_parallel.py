@@ -7,8 +7,8 @@ from crossmpt.models import DecoderModel, ModelConfig, Variant
 
 
 def test_replaced_helper_pool_threads_end(monkeypatch):
-    # a small chunk, then a large one, on a 4-core host: the second needs a
-    # larger pool, and the first pool's idle threads must not outlive it
+    # a small chunk, then a large one, on a 4-core host: the second needs
+    # more lanes, and no helper thread may live outside the current lanes
     monkeypatch.setattr(parallel, "_cores", lambda: 4)
     monkeypatch.setattr(parallel, "_processes", 1)
     monkeypatch.setattr(parallel, "_helpers", None)
@@ -19,8 +19,9 @@ def test_replaced_helper_pool_threads_end(monkeypatch):
     pools = []
     for frames in (2, 16):
         model.decode_batch(sample_batch(code, NoiseSpec.for_code(code, 4.0, seed=frames), frames))
-        pools.append(parallel._helpers[2])
+        pools.append(parallel._helpers[1])
     assert pools[0] is not pools[1]
     alive = set(threading.enumerate()) - before
-    assert alive and alive <= set(pools[1]._threads)
-    pools[1].shutdown()
+    assert alive and alive <= {t for lane in pools[1] for t in lane._threads}
+    for lane in pools[1]:
+        lane.shutdown()
