@@ -37,10 +37,11 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "CheckpointError"
 
 # Removed settings, each with the one value the program still implements:
 # layers are pre-norm, Eb/N0 is drawn per sample, mixtures draw codes
-# uniformly, gradients are clipped to global norm 1. Keys of the header's
-# "model" and "train_cfg" sections.
+# uniformly, gradients are clipped to global norm 1, the FFN hidden width is
+# 4 d. Keys of the header's "model" and "train_cfg" sections.
 RETIRED_KEYS = {
     "norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform", "clip_norm": 1.0,
+    "ffn_expansion": 4,
 }
 
 

@@ -256,11 +256,10 @@ def _decoder_from_checkpoint(path: str, code):
 @click.option("--max-bits", type=int, default=10_000_000)
 @click.option("--policy", type=click.Choice(["random", "all_zero"]), default="random")
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=click.IntRange(min=1), default=1)
 @click.option("--bitwise/--no-bitwise", default=False, help="also write bitwise.csv")
 @click.option("--out", default=None)
 def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algorithm,
-             min_errors, max_bits, policy, seed, workers, bitwise, out) -> None:
+             min_errors, max_bits, policy, seed, bitwise, out) -> None:
     """Monte-Carlo BER/FER estimation; writes ber_report.csv."""
     code = _resolve_code(code_name, pcm_file)
     if (checkpoint is None) == (decoder_kind is None):
@@ -284,7 +283,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
 
     out_path = _out_dir(out, f"eval_{code.name}_{decoder.name}")
     try:
-        report = estimate_ber(decoder, code, ebn0_list, stop, seed=seed, policy=policy, workers=workers)
+        report = estimate_ber(decoder, code, ebn0_list, stop, seed=seed, policy=policy)
     except FloatingPointError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
@@ -299,7 +298,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
     config = {
         "code": code.name, "decoder": decoder.name, "ebn0": ebn0_list,
         "min_errors": min_errors, "max_bits": max_bits, "policy": policy,
-        "iters": iters if decoder_kind == "bp" else None, "workers": workers,
+        "iters": iters if decoder_kind == "bp" else None,
     }
     _write_manifest(out_path, "eval", config, [code.name], seed, artifacts)
     for row in report.rows:

@@ -5,7 +5,7 @@ Decoders are objects with decode_batch(BatchSample) -> (B, n) bits; a
 single frame is a one-row batch.
 Sampling streams are pure functions of (seed, snr index, chunk index) and
 chunk results are merged in index order, so counts are bit-identical for any
-worker or thread count.
+thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import itertools
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +27,8 @@ from .channel import BatchSample, ChannelSample, NoiseSpec, sample_batch
 from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
-from .models import ModelConfig
-from .parallel import keep_freed_heap, one_blas_thread, share_cores, submit
+from .models import FFN_EXPANSION, ModelConfig
+from .parallel import keep_freed_heap, one_blas_thread, submit
 
 __all__ = [
     "StopRule",
@@ -194,37 +194,14 @@ def _decoding(decoder, batch: BatchSample):
     return batch.x, functools.partial(decoder.decode_batch, batch)
 
 
-def _count_errors(x: np.ndarray, decode) -> tuple[int, np.ndarray, int]:
-    """Decode one chunk, return (bit errors, per-bit errors, frame errors)."""
+def _add_chunk(row: BerRow, x: np.ndarray, decode) -> None:
+    """Decode one chunk and add its frames and errors to `row`."""
     errs = (decode() ^ x).astype(np.int64)
-    per_bit = errs.sum(axis=0)
-    return int(per_bit.sum()), per_bit, int((errs.any(axis=1)).sum())
-
-
-_worker_state: tuple = ()  # (decoder, code, policy), set once per pool worker
-
-
-def _init_worker(decoder, code: Code, policy: str, workers: int) -> None:
-    global _worker_state
-    keep_freed_heap()
-    share_cores(workers)
-    _worker_state = (decoder, code, policy)
-
-
-def _worker_chunk(job) -> tuple[int, np.ndarray, int]:
-    """Sample one seeded chunk in a pool worker and count its errors."""
-    decoder, code, policy = _worker_state
-    spec, count, stream = job
-    return _count_errors(*_decoding(decoder, sample_batch(code, spec, count, policy, stream)))
-
-
-def _add_chunk(row: BerRow, counts: tuple[int, np.ndarray, int], frames: int, n: int) -> None:
-    bit_err, per_bit, frame_err = counts
-    row.bit_errors += bit_err
-    row.per_bit_errors += per_bit
-    row.frame_errors += frame_err
-    row.frames_sent += frames
-    row.bits_sent += frames * n
+    row.bit_errors += int(errs.sum())
+    row.per_bit_errors += errs.sum(axis=0)
+    row.frame_errors += int(errs.any(axis=1).sum())
+    row.frames_sent += len(x)
+    row.bits_sent += x.size
 
 
 def _point_in_process(decoder, code: Code, policy: str, spec: NoiseSpec, si: int,
@@ -244,24 +221,12 @@ def _point_in_process(decoder, code: Code, policy: str, spec: NoiseSpec, si: int
             ahead = None  # the future holds the chunk: free it before sampling the next
             if k * chunk_frames * code.n < stop.max_bits:
                 ahead = sampled(k)
-            _add_chunk(row, _count_errors(x, decode), chunk_frames, code.n)
+            _add_chunk(row, x, decode)
             if stop.reached(row):
                 return
     finally:
         if ahead is not None and not ahead.cancel():
             wait([ahead])
-
-
-def _point_in_pool(pool, code: Code, spec: NoiseSpec, si: int, stop: StopRule,
-                   chunk_frames: int, workers: int, row: BerRow) -> None:
-    """Count point si into `row` in waves of one chunk per worker; the
-    chunks past the stop rule in the last wave are dropped."""
-    for first in itertools.count(0, workers):
-        jobs = [(spec, chunk_frames, (_TAG_EVAL, si, first + w)) for w in range(workers)]
-        for counts in pool.map(_worker_chunk, jobs):
-            _add_chunk(row, counts, chunk_frames, code.n)
-            if stop.reached(row):
-                return
 
 
 @one_blas_thread()
@@ -273,52 +238,37 @@ def estimate_ber(
     seed: int = 0,
     policy: str = "random",
     chunk_frames: int = 512,
-    workers: int = 1,
 ) -> BerReport:
     """Streaming Monte-Carlo BER/FER per SNR point.
 
     Random-codeword transmission is the default (valid for syndrome-based
     decoders by the codeword-invariance property); all_zero is available for
-    cross-checks. Deterministic for a fixed seed regardless of workers. With
-    workers > 1 the decoder is sent to each worker once, and a job carries
-    only its noise spec, frame count and stream. With one worker the next
-    chunk is sampled on a helper thread while the current one decodes.
-    Neural decoders split each chunk's rows over the cores, which the
-    workers share out; OpenBLAS runs on one thread for the duration of the
-    call. Logs one line per finished point to the `crossmpt.evaluation`
-    logger at INFO. Raises ValueError on an empty Eb/N0 list.
+    cross-checks. Deterministic for a fixed seed regardless of the thread
+    count. The next chunk is sampled on a helper thread while the current one
+    decodes, and neural decoders split each chunk's rows over the cores;
+    OpenBLAS runs on one thread for the duration of the call. Logs one line
+    per finished point to the `crossmpt.evaluation` logger at INFO. Raises
+    ValueError on an empty Eb/N0 list.
     """
     if not ebn0_list:
         raise ValueError("the Eb/N0 list is empty: no point to evaluate")
     keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(decoder, code, policy, workers)
+    for si, ebn0 in enumerate(ebn0_list):
+        t0 = time.perf_counter()
+        spec = NoiseSpec.for_code(code, ebn0, seed=seed)
+        row = BerRow(
+            ebn0_db=float(ebn0), bits_sent=0, bit_errors=0, frames_sent=0,
+            frame_errors=0, per_bit_errors=np.zeros(code.n, dtype=np.int64),
         )
-    try:
-        for si, ebn0 in enumerate(ebn0_list):
-            t0 = time.perf_counter()
-            spec = NoiseSpec.for_code(code, ebn0, seed=seed)
-            row = BerRow(
-                ebn0_db=float(ebn0), bits_sent=0, bit_errors=0, frames_sent=0,
-                frame_errors=0, per_bit_errors=np.zeros(code.n, dtype=np.int64),
-            )
-            if pool:
-                _point_in_pool(pool, code, spec, si, stop, chunk_frames, workers, row)
-            else:
-                _point_in_process(decoder, code, policy, spec, si, stop, chunk_frames, row)
-            report.rows.append(row)
-            seconds = time.perf_counter() - t0
-            _log.info(
-                "%s %s eb/n0 %g dB: %d frames, %d bit errors, %.0f frames/s",
-                report.decoder_name, code.name, row.ebn0_db, row.frames_sent, row.bit_errors,
-                row.frames_sent / seconds,
-            )
-    finally:
-        if pool:
-            pool.shutdown()
+        _point_in_process(decoder, code, policy, spec, si, stop, chunk_frames, row)
+        report.rows.append(row)
+        seconds = time.perf_counter() - t0
+        _log.info(
+            "%s %s eb/n0 %g dB: %d frames, %d bit errors, %.0f frames/s",
+            report.decoder_name, code.name, row.ebn0_db, row.frames_sent, row.bit_errors,
+            row.frames_sent / seconds,
+        )
     return report
 
 
@@ -347,7 +297,7 @@ def flops_estimate(cfg: ModelConfig, code: Code, decoder_kind: str) -> int:
     """
     n, k = code.n, code.k
     d = cfg.embed_dim
-    e = cfg.ffn_expansion
+    e = FFN_EXPANSION
     rows = 2 * n - k
     graph = tanner_graph(code.pcm)
     h_cross = graph.n_edges

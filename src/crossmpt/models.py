@@ -56,6 +56,7 @@ class Variant(Enum):
 
 
 FOUNDATION_VARIANTS = (Variant.FCROSSMPT,)
+FFN_EXPANSION = 4  # FFN hidden width per embedding dimension
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class ModelConfig:
     n_layers: int = 6
     embed_dim: int = 128
     heads: int = 1
-    ffn_expansion: int = 4
 
     def __post_init__(self):
         if min(self.n_layers, self.embed_dim, self.heads) < 1:
@@ -82,7 +82,7 @@ class ModelConfig:
 
 def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     d = cfg.embed_dim
-    e = cfg.ffn_expansion
+    e = FFN_EXPANSION
     shapes: dict[str, tuple[int, ...]] = {}
     for i in range(cfg.n_layers):
         p = f"layer{i}."

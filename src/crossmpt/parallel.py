@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "keep_freed_heap", "map_slices", "one_blas_thread", "share_cores", "split_rows", "submit",
+    "keep_freed_heap", "map_slices", "one_blas_thread", "row_slices", "split_rows", "submit",
 ]
 
 # glibc mallopt (param, value) pairs: M_MMAP_THRESHOLD (-3) at 32 MiB, the
@@ -97,15 +97,6 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-_processes = 1  # processes sharing the cores; set in estimate_ber's workers
-
-
-def share_cores(processes: int) -> None:
-    """Declare that this process is one of `processes` that share the cores."""
-    global _processes
-    _processes = max(1, processes)
-
-
 # (pid, lanes): helper threads kept alive across calls, one single-thread
 # executor per lane, so the jobs sent to a lane always run on one thread and
 # allocate from that thread's malloc arena. A process forked from this one
@@ -128,30 +119,25 @@ def _lanes(size: int) -> tuple[ThreadPoolExecutor, ...]:
     return lanes
 
 
-def _threads() -> int:
-    """This process's share of the cores."""
-    return max(1, _cores() // _processes)
-
-
 def submit(fn, *args) -> Future:
     """fn(*args) on helper lane threads - 1, the lane past those that
     `map_slices` takes, so row slices never wait behind this job and every
     such job runs on one thread. The caller keeps at most one job in flight
     and reads its result."""
-    t = _threads()
+    t = _cores()
     return _lanes(t)[t - 1].submit(fn, *args)
 
 
 def map_slices(fn, slices: list[slice]) -> list:
-    """[fn(s) for s in slices], computed on min(threads, len(slices)) threads.
+    """[fn(s) for s in slices], computed on min(cores, len(slices)) threads.
 
-    threads is this process's share of the cores. The slices are dealt to the
-    threads in contiguous groups, the calling thread computing the first group
-    and helper lanes 0, 1, ... the others; results come back in slice order.
-    Each fn call must depend only on the slice it is given.
+    The slices are dealt to the threads in contiguous groups (`row_slices`),
+    the calling thread computing the first group and helper lanes 0, 1, ...
+    the others; results come back in slice order. Each fn call must depend
+    only on the slice it is given.
     """
-    t = min(_threads(), len(slices))
-    groups = [slices[len(slices) * i // t : len(slices) * (i + 1) // t] for i in range(t)]
+    t = min(_cores(), len(slices))
+    groups = [slices[s] for s in row_slices(len(slices), t)]
 
     def run(group):
         return [fn(rows) for rows in group]
@@ -166,10 +152,15 @@ def map_slices(fn, slices: list[slice]) -> list:
     return out
 
 
+def row_slices(frames: int, groups: int) -> list[slice]:
+    """`groups` contiguous row slices of a batch of `frames` rows, as equal
+    as they can be; the partition depends only on the two numbers."""
+    edges = [frames * i // groups for i in range(groups + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def split_rows(fn, frames: int) -> np.ndarray:
-    """fn(rows) over t = min(threads, frames) contiguous row slices of a
+    """fn(rows) over t = min(cores, frames) contiguous row slices of a
     batch, one slice per thread, concatenated along the first axis."""
-    t = min(_threads(), frames)
-    edges = [frames * i // t for i in range(t + 1)]
-    parts = map_slices(fn, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
-    return parts[0] if t == 1 else np.concatenate(parts)
+    parts = map_slices(fn, row_slices(frames, min(_cores(), frames)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)

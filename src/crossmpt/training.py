@@ -26,7 +26,7 @@ from .codes import Code, get_code, list_codes
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params
 from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
-from .parallel import keep_freed_heap, map_slices, one_blas_thread
+from .parallel import keep_freed_heap, map_slices, one_blas_thread, row_slices
 
 __all__ = [
     "TrainConfig",
@@ -74,7 +74,6 @@ class TrainConfig:
     n_layers: int = 2
     embed_dim: int = 32
     heads: int = 1
-    ffn_expansion: int = 4
     p: int = 1
     epochs: int = 20
     batches_per_epoch: int = 200
@@ -94,6 +93,10 @@ class TrainConfig:
             raise ValueError("need lr0 > lr_min > 0")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
+        if self.ebn0_lo > self.ebn0_hi:
+            raise ValueError(f"need ebn0_lo <= ebn0_hi, got {self.ebn0_lo} > {self.ebn0_hi}")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         model = self.model_config()  # raises on an invalid architecture
         if len(self.codes) > 1 and not model.code_agnostic:
             raise ValueError(
@@ -117,7 +120,6 @@ class TrainConfig:
             n_layers=self.n_layers,
             embed_dim=self.embed_dim,
             heads=self.heads,
-            ffn_expansion=self.ffn_expansion,
         )
 
 
@@ -174,12 +176,6 @@ class _Lane:
         return forward_arrays(params, model_cfg, self.sampling_code.pcm, mag, syndromes[0])
 
 
-def _row_halves(batch_size: int) -> list[slice]:
-    groups = min(_HALVES, batch_size)
-    edges = [batch_size * i // groups for i in range(groups + 1)]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def _step_gradients(params: dict[str, Tensor], lane: _Lane, model_cfg: ModelConfig, batch) -> float:
     """Set every parameter's gradient of the batch-mean loss; return that loss.
 
@@ -199,7 +195,7 @@ def _step_gradients(params: dict[str, Tensor], lane: _Lane, model_cfg: ModelConf
         loss_t.backward(np.asarray(share))
         return value, {name: leaf.grad for name, leaf in leaves.items()}
 
-    values, grads = zip(*map_slices(half, _row_halves(size)))
+    values, grads = zip(*map_slices(half, row_slices(size, min(_HALVES, size))))
     for name, p in params.items():
         p.grad = functools.reduce(np.add, (g[name] for g in grads))
     return sum(values)

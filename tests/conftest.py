@@ -16,9 +16,10 @@ def rel_err(a, b, floor=1e-6):
 # Settings removed from the program, with the one value a checkpoint header
 # may still hold for each, and the header sections that held it.
 RETIRED_DEFAULTS = {"norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform",
-                    "clip_norm": 1.0}
+                    "clip_norm": 1.0, "ffn_expansion": 4}
 RETIRED_SECTIONS = {"norm_order": ("model", "train_cfg"), "per_batch_ebn0": ("train_cfg",),
-                    "code_sampling": ("train_cfg",), "clip_norm": ("train_cfg",)}
+                    "code_sampling": ("train_cfg",), "clip_norm": ("train_cfg",),
+                    "ffn_expansion": ("model", "train_cfg")}
 
 
 def rewrite_checkpoint_header(path, **retired) -> None:

@@ -11,7 +11,7 @@ to be edited except together with the engine's.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfc
+from scipy.special import ndtr
 
 __all__ = [
     "Tensor",
@@ -34,7 +34,6 @@ __all__ = [
     "ffn",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -367,18 +366,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Exact GELU, x * Phi(x). scipy's float64 `erf` is the floor of its cost;
-    the rest of the arithmetic runs in place on arrays allocated here. The
-    constants take x's dtype, so float32 stays float32. float32 computes Phi
-    as 0.5 * erfc(-x / sqrt(2)), because 1 + erf rounds to 0 below about
-    x = -5.9 and loses the tail; float64 keeps the 1 + erf form."""
+    """Exact GELU, x * Phi(x). scipy's `ndtr` computes Phi in x's dtype, to
+    full relative precision in the negative tail, and is the floor of the
+    cost; the rest of the arithmetic runs in place on arrays allocated here.
+    The constants take x's dtype, so float32 stays float32."""
     x = t.data
-    if x.dtype == np.float32:
-        cdf = erfc(x * np.float32(-_INV_SQRT2))
-    else:
-        cdf = erf(x * _INV_SQRT2)
-        cdf += 1.0
-    cdf *= 0.5
+    cdf = ndtr(x)
     out_data = x * cdf
 
     def backward(g: np.ndarray) -> None:

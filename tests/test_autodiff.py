@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, erfc
+from scipy.special import erfc, ndtr
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
@@ -314,15 +314,11 @@ def ref_layer_norm(x, gain, bias, g, eps=1e-5):
 
 def ref_gelu(x, g):
     """GELU and its input gradient, computed in float64 and rounded to x's
-    dtype. A float32 input follows `erfc`, as the float32 path does: `1 + erf`
-    cancels in the negative tail, in float32 below about x = -5.9 and in
-    float64, by more than float32's tolerance, below about x = -7. A float64
-    input keeps the `1 + erf` form of the float64 path."""
+    dtype. Phi is `0.5 * erfc(-x / sqrt(2))`, which keeps the negative tail
+    that `0.5 * (1 + erf)` cancels, in float32 below about x = -5.9 and in
+    float64 below about x = -7."""
     x64 = x.astype(np.float64)
-    if x.dtype == np.float32:
-        cdf = 0.5 * erfc(-x64 / np.sqrt(2.0))
-    else:
-        cdf = 0.5 * (1.0 + erf(x64 * (1.0 / np.sqrt(2.0))))
+    cdf = 0.5 * erfc(-x64 / np.sqrt(2.0))
     pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x64 * x64)
     return (x64 * cdf).astype(x.dtype), (g * (cdf + x64 * pdf)).astype(x.dtype)
 
@@ -516,9 +512,7 @@ class TestDtypes:
         t = ad.parameter(x)
         out = ad.gelu(t)
         out.backward(np.ones_like(x))
-        cdf = erf(x * (1.0 / np.sqrt(2.0)))
-        cdf += 1.0
-        cdf *= 0.5
+        cdf = ndtr(x)
         gx = np.square(x)
         gx *= -0.5
         np.exp(gx, out=gx)
@@ -527,6 +521,15 @@ class TestDtypes:
         gx += cdf
         assert np.array_equal(out.data, x * cdf)
         assert np.array_equal(t.grad, gx)
+
+    def test_float64_gelu_keeps_the_negative_tail(self):
+        # float64 `1 + erf` cancels below about x = -7 (-3.6126e-14 against
+        # -3.6329e-14 at the x below) and rounds to -0 below about x = -8.3
+        x = np.array([-7.7474136, -10.0])
+        out = ad.gelu(ad.parameter(x)).data
+        exact = x * 0.5 * erfc(-x / np.sqrt(2.0))
+        np.testing.assert_allclose(out[0], exact[0], rtol=1e-12)
+        assert out[1] < 0
 
     def test_float32_gelu_keeps_the_negative_tail(self):
         # float32 `1 + erf` rounds to 0 below about x = -5.9; the float32 path

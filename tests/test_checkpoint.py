@@ -211,7 +211,8 @@ class TestRetiredKeys:
 
     @pytest.mark.parametrize(
         "key,value", [("norm_order", "post"), ("per_batch_ebn0", True),
-                      ("code_sampling", "proportional"), ("clip_norm", 1e300)],
+                      ("code_sampling", "proportional"), ("clip_norm", 1e300),
+                      ("ffn_expansion", 2)],
     )
     def test_other_values_are_refused(self, tmp_path, key, value):
         report = train(self.CFG, out_dir=tmp_path, interrupt_after=1)

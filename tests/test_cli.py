@@ -408,13 +408,6 @@ class TestConfigurationErrorsExit2:
         ])
         self.assert_config_error(result, "missing.txt")
 
-    def test_eval_zero_workers(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--max-bits", "700",
-            "--workers", "0", "--out", str(tmp_path / "out"),
-        ])
-        self.assert_config_error(result, "--workers")
-
     def test_train_missing_config_file(self, runner, tmp_path):
         result = runner.invoke(main, ["train", "--config", str(tmp_path / "missing.cfg")])
         self.assert_config_error(result, "missing.cfg")
@@ -454,14 +447,16 @@ class TestConfigurationErrorsExit2:
         (["--code", "bch_15_7", "--variant", "crossed", "--p", "9"], "p=9"),
         (["--codes", "bch_15_7,hamming_7_4", "--variant", "crossmpt"], "multi-code"),
         (["--code", "bch_9_9"], "bch_9_9"),
-    ], ids=["heads", "crossed_p", "multi_code", "unknown_code"])
+        (["--code", "hamming_7_4", "--ebn0-lo", "7", "--ebn0-hi", "3"], "ebn0_lo <= ebn0_hi"),
+        (["--code", "hamming_7_4", "--checkpoint-every", "-1"], "checkpoint_every"),
+    ], ids=["heads", "crossed_p", "multi_code", "unknown_code", "ebn0_range", "checkpoint_every"])
     def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
         result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
         self.assert_config_error(result, cause)
 
     @pytest.mark.parametrize("key,value", [
         ("norm_order", "post"), ("per_batch_ebn0", True), ("code_sampling", "proportional"),
-        ("clip_norm", 1e300),
+        ("clip_norm", 1e300), ("ffn_expansion", 2),
     ])
     def test_removed_setting_in_checkpoint(self, runner, tmp_path, key, value):
         args = ["train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8",

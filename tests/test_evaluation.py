@@ -51,16 +51,6 @@ class PerfectDecoder:
         return batch.x
 
 
-class PickleCountingDecoder(IdentityDecoder):
-    """Counts how often it is pickled (in the process that pickles it)."""
-
-    pickles = 0
-
-    def __getstate__(self):
-        type(self).pickles += 1
-        return self.__dict__
-
-
 class TestEstimateBer:
     def test_identity_decoder_matches_closed_form(self):
         code = get_code("ldpc_32_16")  # rate 1/2
@@ -80,39 +70,14 @@ class TestEstimateBer:
         assert row.ber == 0.0
         assert row.neg_ln_ber == float("inf")
 
-    def test_deterministic_replay_and_worker_invariance(self):
+    def test_deterministic_replay(self):
         code = get_code("hamming_7_4")
         stop = StopRule(min_errors=50, max_bits=40_000)
         a = estimate_ber(IdentityDecoder(), code, [3.0], stop, seed=3)
         b = estimate_ber(IdentityDecoder(), code, [3.0], stop, seed=3)
-        c = estimate_ber(IdentityDecoder(), code, [3.0], stop, seed=3, workers=2)
-        for x, y in ((a, b), (a, c)):
-            assert x.rows[0].bit_errors == y.rows[0].bit_errors
-            assert x.rows[0].bits_sent == y.rows[0].bits_sent
-            assert np.array_equal(x.rows[0].per_bit_errors, y.rows[0].per_bit_errors)
-
-    def test_worker_pool_handles_neural_decoders(self):
-        # decoder state (params, masks, code) must survive the process boundary
-        code = get_code("hamming_7_4")
-        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
-        model = DecoderModel(cfg, code, seed=20, infer_only=True)
-        stop = StopRule(min_errors=20, max_bits=10_000)
-        seq = estimate_ber(model, code, [3.0], stop, seed=21)
-        par = estimate_ber(model, code, [3.0], stop, seed=21, workers=2)
-        assert seq.rows[0].bit_errors == par.rows[0].bit_errors
-        assert np.array_equal(seq.rows[0].per_bit_errors, par.rows[0].per_bit_errors)
-
-    def test_decoder_is_sent_once_per_worker(self):
-        # jobs carry only (spec, count, stream); the decoder reaches each
-        # worker through the pool initializer
-        code = get_code("hamming_7_4")
-        PickleCountingDecoder.pickles = 0
-        report = estimate_ber(
-            PickleCountingDecoder(), code, [3.0], StopRule(min_errors=10**9, max_bits=7 * 64 * 8),
-            seed=22, chunk_frames=64, workers=2,
-        )
-        assert report.rows[0].frames_sent == 64 * 8
-        assert PickleCountingDecoder.pickles <= 2
+        assert a.rows[0].bit_errors == b.rows[0].bit_errors
+        assert a.rows[0].bits_sent == b.rows[0].bits_sent
+        assert np.array_equal(a.rows[0].per_bit_errors, b.rows[0].per_bit_errors)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
     def test_bp_chunks_reuse_freed_heap_memory(self):
@@ -135,7 +100,6 @@ class TestEstimateBer:
         # lanes 0-2, and every chunk is still sampled on one thread (lane 3),
         # so one heap arena holds the sampled chunks
         monkeypatch.setattr(parallel, "_cores", lambda: 4)
-        monkeypatch.setattr(parallel, "_processes", 1)
         monkeypatch.setattr(parallel, "_helpers", None)
         small = get_code("bch_15_7")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
@@ -175,10 +139,7 @@ class TestEstimateBer:
         monkeypatch.setattr(parallel.ctypes, "CDLL", no_libc)
         parallel.keep_freed_heap()
 
-    def test_counts_and_csv_equal_for_any_thread_and_worker_count(self, monkeypatch, tmp_path):
-        # each workers=1 call runs first and leaves helper threads behind; the
-        # forked workers inherit the pool entry but not its threads. At 4
-        # cores each of the 2 workers splits its chunks over 2 threads.
+    def test_counts_and_csv_equal_for_any_thread_count(self, monkeypatch, tmp_path):
         code = get_code("bch_15_7")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=16)
         model = DecoderModel(cfg, code, seed=30, infer_only=True)
@@ -186,18 +147,15 @@ class TestEstimateBer:
         counts, csvs = [], []
         for cores in (1, 2, 3, 4):
             monkeypatch.setattr(parallel, "_cores", lambda cores=cores: cores)
-            for workers in (1, 2):
-                report = estimate_ber(
-                    model, code, [3.0, 5.0], stop, seed=31, chunk_frames=100, workers=workers
-                )
-                counts.append([
-                    (r.bits_sent, r.bit_errors, r.frames_sent, r.frame_errors,
-                     r.per_bit_errors.tolist())
-                    for r in report.rows
-                ])
-                path = tmp_path / f"ber_{cores}_{workers}.csv"
-                report.to_csv(path)
-                csvs.append(path.read_bytes())
+            report = estimate_ber(model, code, [3.0, 5.0], stop, seed=31, chunk_frames=100)
+            counts.append([
+                (r.bits_sent, r.bit_errors, r.frames_sent, r.frame_errors,
+                 r.per_bit_errors.tolist())
+                for r in report.rows
+            ])
+            path = tmp_path / f"ber_{cores}.csv"
+            report.to_csv(path)
+            csvs.append(path.read_bytes())
         assert all(c == counts[0] for c in counts)
         assert all(c == csvs[0] for c in csvs)
 
@@ -417,7 +375,6 @@ class TestSampleAhead:
         # chunk 1's sampling blocks until a helper thread has decoded a row
         # slice of chunk 0; a slice queued behind it would wait the timeout
         monkeypatch.setattr(parallel, "_cores", lambda: 2)
-        monkeypatch.setattr(parallel, "_processes", 1)
         monkeypatch.setattr(parallel, "_helpers", None)
         code = get_code("bch_15_7")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)

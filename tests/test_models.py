@@ -123,7 +123,7 @@ class TestCrossLayer:
         d = 2
         h = BinaryMatrix([[1, 1, 0], [0, 1, 1]])
         masks = build_crossmpt_masks(h)
-        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=d, ffn_expansion=2)
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=d)
         rng = np.random.default_rng(10)
         lp_arrays = {
             "w_q": np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -295,7 +295,7 @@ class TestWeightSharing:
     def test_gradient_flows_from_both_blocks_into_shared_buffer(self):
         h = BinaryMatrix([[1, 1, 0], [0, 1, 1]])
         masks = build_crossmpt_masks(h)
-        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=4, ffn_expansion=2)
+        cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=4)
         rng = np.random.default_rng(16)
         m0 = rng.standard_normal((3, 4))
         s0 = rng.standard_normal((2, 4))
@@ -345,7 +345,7 @@ class TestFullModelGradients:
     )
     def test_small_model_gradcheck(self, variant, heads):
         code = get_code("hamming_7_4")
-        cfg = ModelConfig(variant=variant, n_layers=1, embed_dim=4, heads=heads, ffn_expansion=2)
+        cfg = ModelConfig(variant=variant, n_layers=1, embed_dim=4, heads=heads)
         params = init_params(cfg, None if cfg.code_agnostic else code, seed=20)
         smp = sample(code, NoiseSpec.for_code(code, 3.0, seed=21), policy="random")
 

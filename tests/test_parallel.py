@@ -10,7 +10,6 @@ def test_replaced_helper_pool_threads_end(monkeypatch):
     # a small chunk, then a large one, on a 4-core host: the second needs
     # more lanes, and no helper thread may live outside the current lanes
     monkeypatch.setattr(parallel, "_cores", lambda: 4)
-    monkeypatch.setattr(parallel, "_processes", 1)
     monkeypatch.setattr(parallel, "_helpers", None)
     code = get_code("bch_15_7")
     model = DecoderModel(ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8), code,

@@ -385,7 +385,6 @@ class TestThreadCountInvariance:
         cfg = self.config(name, dtype, batch_size)
         model_cfg = cfg.model_config()
         codes = [get_code(c) for c in cfg.codes]
-        monkeypatch.setattr(parallel, "_processes", 1)
         steps, runs = {}, {}
         for cores in (1, 2):
             monkeypatch.setattr(parallel, "_cores", lambda cores=cores: cores)
