@@ -65,8 +65,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         lo, hi = self.ebn0_range_db
-        if lo > hi:
-            raise ValueError(f"Eb/N0 range inverted: {lo} > {hi}")
+        if not lo <= hi:
+            raise ValueError(f"Eb/N0 range needs lo <= hi, got ({lo}, {hi})")
         if not 0 < self.rate < 1:
             raise ValueError(f"rate must lie in (0,1), got {self.rate}")
 

@@ -42,7 +42,6 @@ from .training import (
     ConfigMismatchError,
     NumericFailure,
     TrainConfig,
-    coerce_config,
     parse_config_file,
     train,
 )
@@ -171,6 +170,8 @@ def cmd_train(code_name, codes_csv, config_file, out, resume_from, **flags) -> N
             settings.update(parse_config_file(config_file))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --config {config_file}: {exc}") from exc
+    if codes_csv and code_name:
+        raise click.UsageError("pass --code or --codes, not both")
     if codes_csv:
         settings["codes"] = tuple(c.strip() for c in codes_csv.split(",") if c.strip())
     elif code_name:
@@ -181,7 +182,7 @@ def cmd_train(code_name, codes_csv, config_file, out, resume_from, **flags) -> N
         if value is not None:
             settings[key] = value
     try:
-        cfg = TrainConfig(**coerce_config(settings))
+        cfg = TrainConfig(**settings)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid training config: {exc}") from exc
     if resume_from is not None and not Path(resume_from).is_file():
@@ -386,10 +387,14 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
         y[0, flip_bit] *= -1.0
         smp = _derive(decoder.code, x, modulate(x), y, np.array([np.inf])).row(0)
     else:
-        smp = sample(decoder.code, NoiseSpec.for_code(decoder.code, ebn0, seed=seed), policy="all_zero")
+        try:
+            spec = NoiseSpec.for_code(decoder.code, ebn0, seed=seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --ebn0 {ebn0}: {exc}") from exc
+        smp = sample(decoder.code, spec, policy="all_zero")
     dumps = dump_attention(decoder, smp, layer_range)
     out_path = _out_dir(out, f"attention_{code.name}")
-    branches = decoder.ens.p if hasattr(decoder, "ens") else 1
+    branches = len(decoder.code.pcms)
     artifacts = []
     for entry in dumps:
         stem = f"layer{entry['layer']:02d}"

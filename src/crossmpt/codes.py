@@ -90,14 +90,20 @@ class Code:
         return not tanner_graph(self.pcm).syndrome(word).any()
 
     def validate(self) -> None:
-        """Check all structural invariants; raises AssertionError on failure."""
-        assert self.generator.shape == (self.k, self.n)
+        """Check all structural invariants; raises AssertionError on failure,
+        also under `python -O`."""
+        if self.generator.shape != (self.k, self.n):
+            raise AssertionError("generator shape mismatch")
         base_rank = rank(self.pcms[0])
         for h in self.pcms:
-            assert h.shape == (self.n - self.k, self.n), "PCM shape mismatch"
-            assert rank(h) == self.n - self.k, "rank-deficient PCM"
-            assert gf2_matmul(self.generator, h.transpose()).is_zero(), "G H^T != 0"
-            assert rank(stack_rows(self.pcms[0], h)) == base_rank, "PCM row spaces differ"
+            if h.shape != (self.n - self.k, self.n):
+                raise AssertionError("PCM shape mismatch")
+            if rank(h) != self.n - self.k:
+                raise AssertionError("rank-deficient PCM")
+            if not gf2_matmul(self.generator, h.transpose()).is_zero():
+                raise AssertionError("G H^T != 0")
+            if rank(stack_rows(self.pcms[0], h)) != base_rank:
+                raise AssertionError("PCM row spaces differ")
 
     def with_pcms(self, pcms: list[BinaryMatrix]) -> "Code":
         return replace(self, pcms=tuple(pcms))
@@ -114,7 +120,8 @@ def _code_from_pcm(
         raise CodeFormatError(f"rank-deficient PCM: rank {hrank} < {m} rows")
     k = n - m
     generator = null_space(h)
-    assert generator.rows == k
+    if generator.rows != k:
+        raise AssertionError(f"null space has {generator.rows} rows, expected k={k}")
     return Code(
         name=name or f"{code_class.value}_{n}_{k}",
         n=n,

@@ -10,12 +10,12 @@ diagonalization at that window.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .channel import BatchSample
 from .codes import Code
 from .gf2 import BinaryMatrix, rref
 from .models import DecoderModel, ModelConfig, Variant, foundation_logits
@@ -112,8 +112,7 @@ class CrossEDModel(DecoderModel):
         super().__init__(ens.base, ens.branch_code(), params, seed, dtype, infer_only)
         self.ens = ens
 
-    def logits_batch(self, mag: np.ndarray, syndromes: list[np.ndarray], capture=None) -> Tensor:
+    def logits(self, mag: np.ndarray, syndromes: Sequence[np.ndarray], capture=None) -> Tensor:
         return crossed_forward(self.params, self.ens, mag, syndromes, capture)
 
-    def _logits(self, batch: BatchSample, rows: slice) -> np.ndarray:
-        return self.logits_batch(batch.mag[rows], [s[rows] for s in batch.syndromes]).data
+    logits_batch = logits

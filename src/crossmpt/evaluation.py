@@ -391,10 +391,7 @@ def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | 
     branch. Masked positions are exact zeros.
     """
     capture: list = []
-    if hasattr(model, "ens"):
-        model.logits_batch(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
-    else:
-        model.logits_batch(sample.mag[None, :], sample.syndromes[0][None, :], capture)
+    model.logits(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
     n_layers = model.cfg.n_layers
     lo, hi = layer_range if layer_range is not None else (1, n_layers)
     dumps = []

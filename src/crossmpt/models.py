@@ -173,14 +173,14 @@ def _attention(
     k = ad.matmul(kv_in, lp["w_k"])
     v = ad.matmul(kv_in, lp["w_v"])
     dh = cfg.embed_dim // cfg.heads
+    heads = [(q, k, v)] if cfg.heads == 1 else [
+        [ad.narrow(t, h * dh, (h + 1) * dh) for t in (q, k, v)] for h in range(cfg.heads)
+    ]
     outs = []
     maps = []
-    for h in range(cfg.heads):
-        qh = ad.narrow(q, h * dh, (h + 1) * dh, axis=-1)
-        kh = ad.narrow(k, h * dh, (h + 1) * dh, axis=-1)
-        vh = ad.narrow(v, h * dh, (h + 1) * dh, axis=-1)
+    for qh, kh, vh in heads:
         logits = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        weights = ad.masked_softmax(logits, mask)
+        weights = ad.masked_softmax(logits, mask.additive)
         if capture is not None:
             maps.append(weights.data)
         outs.append(ad.matmul(weights, vh))
@@ -396,16 +396,19 @@ class DecoderModel:
         if infer_only:
             self.params = freeze(self.params)
 
-    def logits_batch(self, mag: np.ndarray, syn: np.ndarray, capture: list | None = None) -> Tensor:
-        return forward_arrays(self.params, self.cfg, self.code.pcm, mag, syn, capture)
+    def logits(self, mag: np.ndarray, syndromes: Sequence[np.ndarray], capture=None) -> Tensor:
+        """Logits from the magnitudes and one syndrome array per PCM of the code."""
+        return forward_arrays(self.params, self.cfg, self.code.pcm, mag, syndromes[0], capture)
 
-    def _logits(self, batch: BatchSample, rows: slice) -> np.ndarray:
-        return self.logits_batch(batch.mag[rows], batch.syndromes[0][rows]).data
+    def logits_batch(self, mag: np.ndarray, syn: np.ndarray, capture: list | None = None) -> Tensor:
+        """`logits` of a code with one PCM, from its one syndrome array."""
+        return self.logits(mag, [syn], capture)
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         """Hard decisions for a batch, decoded in row slices on this process's
         share of the cores; the logits are bitwise those of one pass."""
-        logits = split_rows(lambda rows: self._logits(batch, rows), len(batch))
+        syn = batch.syndromes
+        logits = split_rows(lambda r: self.logits(batch.mag[r], [s[r] for s in syn]).data, len(batch))
         return decide(batch.y, logits)
 
     def param_count(self) -> int:

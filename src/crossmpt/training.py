@@ -93,8 +93,10 @@ class TrainConfig:
             raise ValueError("need lr0 > lr_min > 0")
         if self.dtype not in ("float64", "float32"):
             raise ValueError("dtype must be float64 or float32")
-        if self.ebn0_lo > self.ebn0_hi:
-            raise ValueError(f"need ebn0_lo <= ebn0_hi, got {self.ebn0_lo} > {self.ebn0_hi}")
+        if not -np.inf < self.ebn0_lo <= self.ebn0_hi < np.inf:
+            raise ValueError(
+                f"need finite ebn0_lo <= ebn0_hi, got ebn0_lo={self.ebn0_lo}, ebn0_hi={self.ebn0_hi}"
+            )
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         model = self.model_config()  # raises on an invalid architecture
@@ -328,10 +330,10 @@ def train(
         report.grad_norm_max.append(max(norms))
         report.clip_frac.append(sum(n > _CLIP_NORM for n in norms) / len(norms))
         done = epoch + 1
-        if cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.epochs:
-            save(done, f"epoch{done:04d}")
-        if interrupt_after is not None and done >= interrupt_after and done < cfg.epochs:
+        stop = interrupt_after is not None and interrupt_after <= done < cfg.epochs
+        if stop or (cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.epochs):
             final_path = save(done, f"epoch{done:04d}")
+        if stop:
             break
     else:
         report.lr_trace.append(cosine_lr(total_steps - 1, schedule_steps, cfg.lr0, cfg.lr_min))
@@ -371,22 +373,19 @@ def parse_config_file(path: str | Path) -> dict:
     return coerce_config(raw)
 
 
-def coerce_config(raw: dict) -> dict:
+def coerce_config(raw: dict[str, str]) -> dict:
     fields = TrainConfig.__dataclass_fields__
     out: dict = {}
     for key, value in raw.items():
         if key not in fields:
             raise ValueError(f"unknown training config key {key!r}")
-        if isinstance(value, str):
-            kind = fields[key].type
-            if key == "codes":
-                out[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif kind == "int":
-                out[key] = int(value)
-            elif kind == "float":
-                out[key] = float(value)
-            else:
-                out[key] = value
+        kind = fields[key].type
+        if key == "codes":
+            out[key] = tuple(v.strip() for v in value.split(",") if v.strip())
+        elif kind == "int":
+            out[key] = int(value)
+        elif kind == "float":
+            out[key] = float(value)
         else:
             out[key] = value
     return out

@@ -141,11 +141,8 @@ def parameter(data, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    return Tensor(arr, requires_grad=False)
+def constant(data) -> Tensor:
+    return Tensor(data)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -272,12 +269,8 @@ def concat(tensors: list[Tensor], axis: int = -2) -> Tensor:
 
 
 def narrow(t: Tensor, start: int, stop: int, axis: int = -1) -> Tensor:
-    """Contiguous slice along one axis; a slice over the whole axis is `t`
-    itself, so it records no node."""
+    """Contiguous slice along one axis."""
     pos = axis if axis >= 0 else t.data.ndim + axis
-    size = t.data.shape[pos]
-    if slice(start, stop).indices(size) == (0, size, 1):
-        return t
     idx = [slice(None)] * t.data.ndim
     idx[pos] = slice(start, stop)
     idx = tuple(idx)
@@ -305,14 +298,12 @@ def reduce_sum(t: Tensor) -> Tensor:
     return _result(t.data.sum(), (t,), backward)
 
 
-def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Row-wise softmax of (logits + mask) along the last axis.
+def masked_softmax(logits: Tensor, additive: np.ndarray) -> Tensor:
+    """Row-wise softmax of (logits + additive) along the last axis.
 
-    mask is an additive array (or MaskMatrix) with entries in {0, -inf};
-    masked positions get weight exactly 0 and gradient exactly 0. Raises on a
-    fully-masked row.
+    additive is an array with entries in {0, -inf}; masked positions get
+    weight exactly 0 and gradient exactly 0. Raises on a fully-masked row.
     """
-    additive = getattr(mask, "additive", mask)
     w = np.add(logits.data, additive, dtype=logits.data.dtype)  # 0 and -inf cast exactly
     zmax = np.max(w, axis=-1, keepdims=True)
     if np.isneginf(zmax).any():

@@ -463,11 +463,18 @@ class TestGradientAliasing:
         with pytest.raises(RuntimeError, match="records no computation"):
             ad.reduce_sum(out).backward()
 
-    def test_full_axis_narrow_records_no_node(self):
+    def test_full_axis_narrow_records_a_node(self):
+        # a slice over the whole axis is a new tensor like any other slice:
+        # it has its own node, and its input's gradient is the incoming one
         x = ad.parameter(np.arange(6.0).reshape(2, 3))
-        assert ad.narrow(x, 0, 3, axis=-1) is x
-        assert ad.narrow(x, 0, 2, axis=0) is x
-        assert ad.narrow(x, 0, 2, axis=-1) is not x
+        g = np.arange(6.0).reshape(2, 3) + 1.0
+        for axis, size in ((-1, 3), (0, 2)):
+            out = ad.narrow(x, 0, size, axis=axis)
+            assert out is not x and out._node is not x._node
+            assert out.data.tobytes() == x.data.tobytes()
+            x.zero_grad()
+            out.backward(g)
+            assert x.grad.tobytes() == g.tobytes()
 
 
 def _primitive_graphs():

@@ -146,6 +146,18 @@ class TestEvalCommand:
         from crossmpt.evaluation import uncoded_bpsk_ber
         assert lo <= uncoded_bpsk_ber(4.0, 0.5) <= hi
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_ebn0_points_are_the_noiseless_and_pure_noise_limits(self, runner, tmp_path):
+        out = tmp_path / "limits"
+        result = invoke(
+            runner, "eval", "--code", "hamming_7_4", "--decoder", "uncoded",
+            "--ebn0", "inf,-inf", "--max-bits", 700, "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in (out / "ber_report.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["inf", "-inf"]
+        assert rows[0][2] == "0" and int(rows[1][2]) > 0
+
     def test_foundation_checkpoint_decodes_unseen_code(self, runner, tmp_path, tiny_checkpoint):
         out = tmp_path / "xfer"
         result = invoke(
@@ -448,8 +460,13 @@ class TestConfigurationErrorsExit2:
         (["--codes", "bch_15_7,hamming_7_4", "--variant", "crossmpt"], "multi-code"),
         (["--code", "bch_9_9"], "bch_9_9"),
         (["--code", "hamming_7_4", "--ebn0-lo", "7", "--ebn0-hi", "3"], "ebn0_lo <= ebn0_hi"),
+        (["--code", "hamming_7_4", "--ebn0-lo", "nan"], "ebn0_lo <= ebn0_hi"),
+        (["--code", "hamming_7_4", "--ebn0-lo", "-inf"], "ebn0_lo <= ebn0_hi"),
         (["--code", "hamming_7_4", "--checkpoint-every", "-1"], "checkpoint_every"),
-    ], ids=["heads", "crossed_p", "multi_code", "unknown_code", "ebn0_range", "checkpoint_every"])
+        (["--code", "hamming_7_4", "--codes", "bch_15_7", "--epochs", "1",
+          "--batches-per-epoch", "1"], "--code or --codes"),
+    ], ids=["heads", "crossed_p", "multi_code", "unknown_code", "ebn0_range", "ebn0_lo_nan",
+            "ebn0_lo_minus_inf", "checkpoint_every", "code_and_codes"])
     def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
         result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
         self.assert_config_error(result, cause)
@@ -489,6 +506,21 @@ class TestConfigurationErrorsExit2:
         ])
         self.assert_config_error(result, cause)
         assert not (tmp_path / "out" / "ber_report.csv").exists()
+
+    @pytest.mark.parametrize("decoder", ["uncoded", "bp"])
+    def test_eval_nan_ebn0(self, runner, tmp_path, decoder):
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", decoder, "--ebn0", "nan",
+            "--max-bits", "700", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--ebn0")
+
+    def test_dump_attention_nan_ebn0(self, runner, tmp_path, tiny_checkpoint):
+        result = runner.invoke(main, [
+            "dump-attention", "--checkpoint", str(tiny_checkpoint), "--code", "ldpc_32_16",
+            "--ebn0", "nan", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--ebn0")
 
     @pytest.mark.parametrize("layers", ["one..two", "2..1", "0..1", "2..3"])
     def test_dump_attention_malformed_layers(self, runner, tmp_path, tiny_checkpoint, layers):

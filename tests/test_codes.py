@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +161,26 @@ class TestRegistry:
         code.validate()
         assert rank(code.pcm) == code.n - code.k
         assert gf2_matmul(code.generator, code.pcm.transpose()).is_zero()
+
+    def test_validate_checks_hold_under_python_O(self):
+        # -O strips assert statements; validate's checks must not be asserts
+        script = (
+            "import dataclasses\n"
+            "from crossmpt.codes import get_code\n"
+            "from crossmpt.gf2 import BinaryMatrix\n"
+            "code = get_code('hamming_7_4')\n"
+            "e0 = [[1] + [0] * (code.n - 1)] * code.k\n"
+            "bad = dataclasses.replace(code, generator=BinaryMatrix(e0))\n"
+            "try:\n"
+            "    bad.validate()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "G H^T != 0"
 
     def test_expected_registry(self):
         assert set(list_codes()) == {

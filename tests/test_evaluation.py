@@ -381,20 +381,20 @@ class TestSampleAhead:
         model = DecoderModel(cfg, code, seed=45, infer_only=True)
         sliced = threading.Event()
         waited = []
-        real_logits = model._logits
+        real_logits = model.logits
         real_sample = evaluation.sample_batch
 
-        def logits(batch, rows):
+        def logits(mag, syndromes, capture=None):
             if threading.current_thread() is not threading.main_thread():
                 sliced.set()
-            return real_logits(batch, rows)
+            return real_logits(mag, syndromes, capture)
 
         def sampler(*args, **kwargs):
             if args[4][-1] == 1:
                 waited.append(sliced.wait(timeout=10))
             return real_sample(*args, **kwargs)
 
-        monkeypatch.setattr(model, "_logits", logits)
+        monkeypatch.setattr(model, "logits", logits)
         monkeypatch.setattr(evaluation, "sample_batch", sampler)
         try:
             estimate_ber(model, code, [3.0], StopRule(min_errors=10**9, max_bits=2 * 8 * code.n),

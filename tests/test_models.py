@@ -373,8 +373,7 @@ def frame_model(kind, dtype):
 
 
 def logits_of(model, batch, rows):
-    syn = [s[rows] for s in batch.syndromes] if hasattr(model, "ens") else batch.syndromes[0][rows]
-    return model.logits_batch(batch.mag[rows], syn).data
+    return model.logits(batch.mag[rows], [s[rows] for s in batch.syndromes]).data
 
 
 def rows_of(batch, rows):
@@ -411,6 +410,26 @@ class TestFrameIndependence:
         one = rows_of(batch, slice(b, b + 1))
         assert logits_of(model, one, slice(0, 1)).tobytes() == whole[b : b + 1].tobytes()
         assert model.decode_batch(one).tobytes() == model.decode_batch(batch)[b : b + 1].tobytes()
+
+
+class TestOneHeadAttention:
+    @pytest.mark.parametrize("kind", FRAME_MODELS)
+    def test_one_head_attention_slices_no_head(self, monkeypatch, kind):
+        # one head attends with q, k and v whole: the only slices left are
+        # the embedding rows of the code-specific variants, never a full axis
+        real_narrow = ad.narrow
+
+        def narrow(t, start, stop, axis=-1):
+            size = t.shape[axis]
+            if slice(start, stop).indices(size) == (0, size, 1):
+                raise AssertionError(f"full-axis narrow of shape {t.shape}")
+            return real_narrow(t, start, stop, axis)
+
+        model = frame_model(kind, np.float64)
+        batch = sample_batch(model.code, NoiseSpec.for_code(model.code, 3.0, seed=8), 4)
+        ref = logits_of(model, batch, slice(0, 4))
+        monkeypatch.setattr(ad, "narrow", narrow)
+        assert logits_of(model, batch, slice(0, 4)).tobytes() == ref.tobytes()
 
 
 @st.composite

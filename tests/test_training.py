@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from crossmpt import autodiff as ad
+from crossmpt import training
 from crossmpt.channel import NoiseSpec, make_invariance_pair, sample, sample_batch
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.codes import get_code
@@ -197,6 +198,23 @@ class TestTrainLoop:
         names = sorted(p.name for p in (tmp_path / "ck").glob("checkpoint_*.npz"))
         assert names == ["checkpoint_epoch0001.npz", "checkpoint_epoch0002.npz",
                          "checkpoint_final.npz"]
+
+    def test_each_epoch_checkpoint_is_written_once(self, monkeypatch, tmp_path):
+        # an interrupt at a periodic checkpoint's epoch writes that file once
+        saved = []
+        real_save = training.save_checkpoint
+
+        def save_checkpoint(path, **kwargs):
+            saved.append(Path(path).name)
+            return real_save(path, **kwargs)
+
+        monkeypatch.setattr(training, "save_checkpoint", save_checkpoint)
+        cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
+                          epochs=3, batches_per_epoch=1, batch_size=4, seed=19,
+                          checkpoint_every=1)
+        report = train(cfg, out_dir=tmp_path, interrupt_after=1)
+        assert saved == ["checkpoint_epoch0001.npz"]
+        assert report.checkpoint_path == str(tmp_path / "checkpoint_epoch0001.npz")
 
     def test_ensemble_variant_trains(self, tmp_path):
         cfg = TrainConfig(codes=("bch_15_7",), variant="crossed", p=2, n_layers=1,
