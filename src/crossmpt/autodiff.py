@@ -14,12 +14,12 @@ closure and a done flag, but no output array. The `Tensor` a primitive returns
 holds the output array and a reference to its node. Each closure captures
 only the arrays its gradients read: matmul its operands (only the one the
 tracked side needs), mul its factors, gelu its input and Phi(x), softplus its
-input, masked_softmax its output, layer_norm the normalized input and the
-inverse deviations; add, scale, neg, transpose, concat, narrow, reshape and
-reduce_sum keep shapes only. So an output array dies when the caller drops
-its Tensor, unless a closure saved it: a matmul output that feeds only a bias
-add, or a residual sum, is gone before backward starts. Untracked results
-(constants in, constant out) build no node.
+input, masked_softmax its weights on the unmasked entries only, layer_norm the
+normalized input and the inverse deviations; add, scale, neg, transpose,
+concat, narrow, reshape and reduce_sum keep shapes only. So an output array
+dies when the caller drops its Tensor, unless a closure saved it: a matmul
+output that feeds only a bias add, or a residual sum, is gone before backward
+starts. Untracked results (constants in, constant out) build no node.
 
 Gradient lifetime: backward() leaves gradients only on leaves, where they
 accumulate across graphs until zero_grad(). An interior node's gradient and
@@ -364,25 +364,39 @@ def reduce_sum(t: Tensor) -> Tensor:
 def masked_softmax(logits: Tensor, additive: np.ndarray) -> Tensor:
     """Row-wise softmax of (logits + additive) along the last axis.
 
-    additive is an array with entries in {0, -inf}; masked positions get
-    weight exactly 0 and gradient exactly 0. Raises on a fully-masked row.
+    additive (0 or -inf) broadcasts to the logits' last two axes; masked
+    positions get weight and gradient exactly 0. Raises on a fully-masked row.
+    Only unmasked entries are exponentiated: exp is several times slower on -inf.
     """
-    w = np.add(logits.data, additive, dtype=logits.data.dtype)  # 0 and -inf cast exactly
-    zmax = np.max(w, axis=-1, keepdims=True)
-    if np.isneginf(zmax).any():
+    shape = logits.data.shape
+    r, c = shape[-2:]
+    keep = np.broadcast_to(additive == 0, (r, c))
+    edges, counts = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
+    if not counts.all():
         raise ValueError("masked_softmax: a row is fully masked")
-    w -= zmax
+    starts = np.cumsum(counts) - counts
+
+    def segments(values: np.ndarray, reduce) -> np.ndarray:  # repeated over each segment
+        return np.repeat(reduce.reduceat(values, starts, axis=1), counts, axis=1)
+
+    def scattered(values: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(values), r * c), dtype=values.dtype)
+        full[:, edges] = values
+        return full.reshape(shape)
+
+    w = np.take(logits.data.reshape(-1, r * c), edges, axis=1)  # C order, unlike [:, edges]
+    w -= segments(w, np.maximum)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= segments(w, np.add)
     node = logits._node
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * w).sum(axis=-1, keepdims=True)
-        gl = g - inner
+        gl = np.take(g.reshape(-1, r * c), edges, axis=1)
+        gl -= segments(gl * w, np.add)
         gl *= w
-        node.accumulate(gl)
+        node.accumulate(scattered(gl))
 
-    return _record(w, (node,), backward)
+    return _record(scattered(w), (node,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -282,7 +282,6 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
     except ValueError as exc:
         raise ConfigError(f"invalid --min-errors/--max-bits: {exc}") from exc
 
-    out_path = _out_dir(out, f"eval_{code.name}_{decoder.name}")
     try:
         report = estimate_ber(decoder, code, ebn0_list, stop, seed=seed, policy=policy)
     except FloatingPointError as exc:
@@ -290,6 +289,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
         sys.exit(3)
     except ValueError as exc:
         raise ConfigError(f"cannot evaluate --ebn0 {ebn0!r}: {exc}") from exc
+    out_path = _out_dir(out, f"eval_{code.name}_{decoder.name}")
     report.to_csv(out_path / "ber_report.csv")
     artifacts = ["ber_report.csv"]
     if bitwise:

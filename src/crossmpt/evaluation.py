@@ -172,13 +172,15 @@ class BpDecoder:
         self.cfg = cfg
         self.rate = code.rate
         self.name = f"bp_{cfg.algorithm}_{cfg.max_iters}"
+        self.totals = np.zeros(3, dtype=np.int64)  # frames, BP iterations, converged frames
 
     def llr(self, batch: BatchSample) -> np.ndarray:
         sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (np.atleast_1d(batch.ebn0_db) / 10.0))
         return 2.0 * batch.y / sigma2[:, None]
 
     def decode_llr(self, llr: np.ndarray) -> np.ndarray:
-        out, _, _ = bp_decode_batch(llr, self.graph, self.cfg)
+        out, iters, converged = bp_decode_batch(llr, self.graph, self.cfg)
+        self.totals += (len(iters), iters.sum(), converged.sum())
         return out
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
@@ -247,16 +249,17 @@ def estimate_ber(
     count. The next chunk is sampled on a helper thread while the current one
     decodes, and neural decoders split each chunk's rows over the cores;
     OpenBLAS runs on one thread for the duration of the call. Logs one line
-    per finished point to the `crossmpt.evaluation` logger at INFO. Raises
-    ValueError on an empty Eb/N0 list.
+    per finished point (for BP, with its iterations) to `crossmpt.evaluation`
+    at INFO. Raises ValueError, before any sampling, on a bad Eb/N0 list.
     """
     if not ebn0_list:
         raise ValueError("the Eb/N0 list is empty: no point to evaluate")
+    specs = [NoiseSpec.for_code(code, ebn0, seed=seed) for ebn0 in ebn0_list]
     keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
-    for si, ebn0 in enumerate(ebn0_list):
+    for si, (ebn0, spec) in enumerate(zip(ebn0_list, specs)):
         t0 = time.perf_counter()
-        spec = NoiseSpec.for_code(code, ebn0, seed=seed)
+        bp_before = decoder.totals.copy() if isinstance(decoder, BpDecoder) else None
         row = BerRow(
             ebn0_db=float(ebn0), bits_sent=0, bit_errors=0, frames_sent=0,
             frame_errors=0, per_bit_errors=np.zeros(code.n, dtype=np.int64),
@@ -264,10 +267,14 @@ def estimate_ber(
         _point_in_process(decoder, code, policy, spec, si, stop, chunk_frames, row)
         report.rows.append(row)
         seconds = time.perf_counter() - t0
+        bp = ""
+        if bp_before is not None:
+            frames, iters, converged = decoder.totals - bp_before
+            bp = f", BP {iters / frames:.2f} iterations per frame, {converged / frames:.1%} converged"
         _log.info(
-            "%s %s eb/n0 %g dB: %d frames, %d bit errors, %.0f frames/s",
+            "%s %s eb/n0 %g dB: %d frames, %d bit errors, %.0f frames/s%s",
             report.decoder_name, code.name, row.ebn0_db, row.frames_sent, row.bit_errors,
-            row.frames_sent / seconds,
+            row.frames_sent / seconds, bp,
         )
     return report
 

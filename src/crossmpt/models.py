@@ -169,18 +169,17 @@ def _attention(
     cfg: ModelConfig,
     capture: list | None,
 ) -> Tensor:
-    q = ad.matmul(q_in, lp["w_q"])
+    dh = cfg.embed_dim // cfg.heads
+    q = ad.scale(ad.matmul(q_in, lp["w_q"]), 1.0 / np.sqrt(dh))  # q, not the (B, r, c) scores: lower peak
     k = ad.matmul(kv_in, lp["w_k"])
     v = ad.matmul(kv_in, lp["w_v"])
-    dh = cfg.embed_dim // cfg.heads
     heads = [(q, k, v)] if cfg.heads == 1 else [
         [ad.narrow(t, h * dh, (h + 1) * dh) for t in (q, k, v)] for h in range(cfg.heads)
     ]
     outs = []
     maps = []
     for qh, kh, vh in heads:
-        logits = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        weights = ad.masked_softmax(logits, mask.additive)
+        weights = ad.masked_softmax(ad.matmul(qh, ad.transpose(kh)), mask.additive)
         if capture is not None:
             maps.append(weights.data)
         outs.append(ad.matmul(weights, vh))

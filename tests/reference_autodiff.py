@@ -301,24 +301,39 @@ def reduce_sum(t: Tensor) -> Tensor:
 def masked_softmax(logits: Tensor, additive: np.ndarray) -> Tensor:
     """Row-wise softmax of (logits + additive) along the last axis.
 
-    additive is an array with entries in {0, -inf}; masked positions get
-    weight exactly 0 and gradient exactly 0. Raises on a fully-masked row.
+    additive has entries in {0, -inf} and broadcasts to the last two axes
+    (r, c) of the logits; masked positions get weight and gradient exactly 0.
+    Raises on a fully-masked row. Only the unmasked entries, gathered by the
+    row-major edge list, are exponentiated.
     """
-    w = np.add(logits.data, additive, dtype=logits.data.dtype)  # 0 and -inf cast exactly
-    zmax = np.max(w, axis=-1, keepdims=True)
-    if np.isneginf(zmax).any():
+    shape = logits.data.shape
+    r, c = shape[-2:]
+    keep = np.broadcast_to(additive == 0, (r, c))
+    edges, counts = np.flatnonzero(keep), np.count_nonzero(keep, axis=1)
+    if not counts.all():
         raise ValueError("masked_softmax: a row is fully masked")
-    w -= zmax
+    starts = np.cumsum(counts) - counts
+
+    def segments(values: np.ndarray, reduce) -> np.ndarray:
+        return np.repeat(reduce.reduceat(values, starts, axis=1), counts, axis=1)
+
+    def scattered(values: np.ndarray) -> np.ndarray:
+        full = np.zeros((len(values), r * c), dtype=values.dtype)
+        full[:, edges] = values
+        return full.reshape(shape)
+
+    w = np.take(logits.data.reshape(-1, r * c), edges, axis=1)
+    w -= segments(w, np.maximum)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= segments(w, np.add)
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * w).sum(axis=-1, keepdims=True)
-        gl = g - inner
+        gl = np.take(g.reshape(-1, r * c), edges, axis=1)
+        gl -= segments(gl * w, np.add)
         gl *= w
-        logits._accumulate(gl)
+        logits._accumulate(scattered(gl))
 
-    return _result(w, (logits,), backward)
+    return _result(scattered(w), (logits,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -6,7 +6,9 @@ from scipy.special import erfc, ndtr
 
 from conftest import backprop_grads, fd_grads, rel_err
 from crossmpt import autodiff as ad
-from crossmpt.masks import NEG_INF
+from crossmpt.codes import get_code, list_codes
+from crossmpt.gf2 import BinaryMatrix
+from crossmpt.masks import NEG_INF, TannerGraph, tanner_graph
 
 
 def rand(rng, *shape):
@@ -111,6 +113,26 @@ class TestMaskedSoftmax:
     def test_fully_masked_row_raises(self):
         with pytest.raises(ValueError, match="fully masked"):
             ad.masked_softmax(ad.constant(np.zeros((1, 3))), np.full((1, 3), NEG_INF))
+
+    def test_no_masked_entry_is_exponentiated(self, monkeypatch):
+        # numpy's SIMD exp leaves its fast path on -inf lanes
+        class FiniteExp:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                assert np.isfinite(x).all(), "exp of a masked entry"
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "np", FiniteExp())
+        rng = np.random.default_rng(7)
+        for name in list_codes():
+            graph = tanner_graph(get_code(name).pcm)
+            for mask in (*graph.cross_masks, graph.ecct_mask):
+                logits = ad.parameter(rand(rng, 2, *mask.shape))
+                ad.masked_softmax(logits, mask.additive).backward(rand(rng, 2, *mask.shape))
+                assert (logits.grad[:, ~mask.support] == 0.0).all()
 
 
 class TestLayerNorm:
@@ -330,6 +352,22 @@ def ref_matmul_grads(a, b, g):
     )
 
 
+def ref_masked_softmax(x, support, g):
+    """Masked softmax and its input gradient, row by row in float64 and
+    rounded to x's dtype: delete the masked columns, take a dense softmax,
+    put the zeros back."""
+    out, grad = np.zeros(x.shape), np.zeros(x.shape)
+    for idx in np.ndindex(x.shape[:-1]):
+        keep = support[idx[-1]]
+        z = x[idx][keep].astype(np.float64)
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        gk = g[idx][keep].astype(np.float64)
+        out[idx][keep] = p
+        grad[idx][keep] = (gk - (gk * p).sum()) * p
+    return out.astype(x.dtype), grad.astype(x.dtype)
+
+
 def assert_matches(got, ref, dtype, scale=None):
     rtol, atol = _TOL[dtype]
     assert got.dtype == ref.dtype
@@ -391,6 +429,29 @@ class TestReferenceFormulas:
         ref_a, ref_b = ref_matmul_grads(a, b, g)
         assert_matches(ta.grad, ref_a, dtype)
         assert_matches(tb.grad, ref_b, dtype)
+
+    @given(m=st.integers(1, 6), n=st.integers(1, 12), lead=lead_axes, dtype=dtypes, seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_masked_softmax_matches_reference(self, m, n, lead, dtype, seed):
+        # sparse (edge list) against dense (per row) on random toy PCMs; a
+        # PCM with an empty row or column gives a fully masked cross row
+        rng = np.random.default_rng(seed)
+        graph = TannerGraph(BinaryMatrix(rng.integers(0, 2, size=(m, n))))
+        for mask in (*graph.cross_masks, graph.ecct_mask):
+            x = (3.0 * rng.standard_normal(lead + mask.shape)).astype(dtype)
+            t = ad.parameter(x, dtype)
+            if not mask.support.any(axis=1).all():
+                with pytest.raises(ValueError, match="fully masked"):
+                    ad.masked_softmax(t, mask.additive)
+                continue
+            out = ad.masked_softmax(t, mask.additive)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            out.backward(g)
+            ref_out, ref_grad = ref_masked_softmax(x, mask.support, g)
+            assert_matches(out.data, ref_out, dtype)
+            assert_matches(t.grad, ref_grad, dtype, scale=float(np.abs(g).max()))
+            assert (out.data[..., ~mask.support] == 0).all()
+            assert (t.grad[..., ~mask.support] == 0).all()
 
 
 class TestGradientAliasing:

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import rewrite_checkpoint_header
+from crossmpt import evaluation
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.cli import _decoder_from_checkpoint, main
 from crossmpt.codes import dense_text_dumps, get_code, load_code
@@ -514,6 +515,19 @@ class TestConfigurationErrorsExit2:
             "--max-bits", "700", "--out", str(tmp_path / "out"),
         ])
         self.assert_config_error(result, "--ebn0")
+
+    def test_eval_nan_after_a_valid_point_is_refused_before_sampling(self, runner, tmp_path,
+                                                                     monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before the Eb/N0 list was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--ebn0", "3,nan",
+            "--max-bits", "7000", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "--ebn0")
+        assert not (tmp_path / "out").exists()
 
     def test_dump_attention_nan_ebn0(self, runner, tmp_path, tiny_checkpoint):
         result = runner.invoke(main, [

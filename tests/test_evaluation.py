@@ -1,3 +1,4 @@
+import logging
 import platform
 import resource
 import threading
@@ -201,6 +202,28 @@ class TestEstimateBer:
             assert seen == [(1, 1), (1, 1)] and get() == 2
         finally:
             put(before)
+
+    def test_bp_points_log_mean_iterations_and_converged_fraction(self, monkeypatch, caplog):
+        # counted at the binding of bp_decode_batch that BpDecoder calls
+        code = get_code("hamming_7_4")
+        chunks, real = [], evaluation.bp_decode_batch
+
+        def counted(*args):
+            out, iters, converged = real(*args)
+            chunks.append((len(iters), iters.sum(), converged.sum()))
+            return out, iters, converged
+
+        monkeypatch.setattr(evaluation, "bp_decode_batch", counted)
+        stop = StopRule(min_errors=10**6, max_bits=2 * 64 * code.n)  # two chunks a point
+        with caplog.at_level(logging.INFO, logger="crossmpt.evaluation"):
+            estimate_ber(BpDecoder(code, BpConfig(max_iters=5)), code, [0.0, 6.0], stop,
+                         seed=3, chunk_frames=64)
+        lines = [r.getMessage() for r in caplog.records if r.name == "crossmpt.evaluation"]
+        assert len(lines) == 2 and len(chunks) == 4
+        for line, point in zip(lines, (chunks[:2], chunks[2:])):
+            frames, iters, converged = np.sum(point, axis=0)
+            assert line.endswith(f", BP {iters / frames:.2f} iterations per frame, "
+                                 f"{converged / frames:.1%} converged"), line
 
     def test_bp_beats_uncoded_at_4db(self):
         code = get_code("ldpc_121_80")
