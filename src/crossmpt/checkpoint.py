@@ -157,26 +157,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"checkpoint version {header.get('version')} unsupported (expected {VERSION})"
             )
         _drop_retired_keys(header)
-        params: dict[str, Tensor] = {}
-        adam_m: dict[str, np.ndarray] = {}
-        adam_v: dict[str, np.ndarray] = {}
-        pcm_by_name: dict[str, BinaryMatrix] = {}
-        branch: dict[int, BinaryMatrix] = {}
-        for key in archive.files:
-            if key.startswith("param:"):
-                params[key[6:]] = ad.parameter(archive[key], dtype=archive[key].dtype)
-            elif key.startswith("adam_m:"):
-                adam_m[key[7:]] = archive[key].copy()
-            elif key.startswith("adam_v:"):
-                adam_v[key[7:]] = archive[key].copy()
-            elif key.startswith("code_pcm:"):
-                pcm_by_name[key[9:]] = BinaryMatrix(archive[key])
-            elif key.startswith("branch_pcm:"):
-                branch[int(key[11:])] = BinaryMatrix(archive[key])
+        sections: dict[str, dict] = {k: {} for k in ("param", "adam_m", "adam_v", "code_pcm", "branch_pcm")}
+        for key in archive.files:  # each member but the header, read once
+            kind, _, name = key.partition(":")
+            if kind in sections:
+                sections[kind][name] = archive[key]
 
-    adam = None
-    if header.get("adam_t") is not None:
-        adam = AdamState(m=adam_m, v=adam_v, t=int(header["adam_t"]))
+    params = {name: ad.parameter(value, dtype=value.dtype) for name, value in sections["param"].items()}
+    pcm_by_name = {name: BinaryMatrix(bits) for name, bits in sections["code_pcm"].items()}
+    adam_t = header.get("adam_t")
+    adam = None if adam_t is None else AdamState(m=sections["adam_m"], v=sections["adam_v"], t=int(adam_t))
 
     codes: dict[str, Code] = {}
     for meta in header["codes"]:
@@ -194,7 +184,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             except CodeFormatError as exc:
                 raise CheckpointError(f"stored PCM for {name}: {exc}") from exc
 
-    branch_pcms = [branch[i] for i in sorted(branch)]
+    branch_pcms = [BinaryMatrix(sections["branch_pcm"][i]) for i in sorted(sections["branch_pcm"], key=int)]
     if header["kind"] == "ensemble" and not branch_pcms:
         raise CheckpointError("ensemble checkpoint holds no branch PCMs")
     return Checkpoint(header=header, params=params, adam=adam, codes=codes, branch_pcms=branch_pcms)

@@ -55,10 +55,29 @@ class ConfigError(click.ClickException):
     exit_code = 2
 
 
-def _out_dir(out: str | None, tag: str) -> Path:
+def _out_path(out: str | None, tag: str) -> Path:
+    """A command's output directory, refused unless it can be made: its
+    nearest existing ancestor must be a directory it may write to."""
     path = Path(out) if out else Path(DEFAULT_OUT_ROOT) / tag
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        existing = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    if not existing.is_dir() or (existing != path and not os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create output directory {path}: {existing} is not a writable directory")
     return path
+
+
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
+def _out_dir(out: str | None, tag: str) -> Path:
+    return _make_dir(_out_path(out, tag))
 
 
 def _write_manifest(out: Path, command: str, config: dict, codes: list[str], seed: int, artifacts: list[str]) -> None:
@@ -282,6 +301,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
     except ValueError as exc:
         raise ConfigError(f"invalid --min-errors/--max-bits: {exc}") from exc
 
+    out_path = _out_path(out, f"eval_{code.name}_{decoder.name}")
     try:
         report = estimate_ber(decoder, code, ebn0_list, stop, seed=seed, policy=policy)
     except FloatingPointError as exc:
@@ -289,7 +309,7 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
         sys.exit(3)
     except ValueError as exc:
         raise ConfigError(f"cannot evaluate --ebn0 {ebn0!r}: {exc}") from exc
-    out_path = _out_dir(out, f"eval_{code.name}_{decoder.name}")
+    _make_dir(out_path)
     report.to_csv(out_path / "ber_report.csv")
     artifacts = ["ber_report.csv"]
     if bitwise:

@@ -175,7 +175,11 @@ class BpDecoder:
         self.totals = np.zeros(3, dtype=np.int64)  # frames, BP iterations, converged frames
 
     def llr(self, batch: BatchSample) -> np.ndarray:
-        sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (np.atleast_1d(batch.ebn0_db) / 10.0))
+        ebn0 = np.atleast_1d(batch.ebn0_db)
+        if not np.isfinite(ebn0).all():
+            bad = ebn0[~np.isfinite(ebn0)][0]
+            raise ValueError(f"BP needs a finite Eb/N0, got {bad} dB (its LLRs 2y/sigma^2 are not finite)")
+        sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (ebn0 / 10.0))
         return 2.0 * batch.y / sigma2[:, None]
 
     def decode_llr(self, llr: np.ndarray) -> np.ndarray:
@@ -335,24 +339,21 @@ def flops_estimate(cfg: ModelConfig, code: Code, decoder_kind: str) -> int:
 
 def complexity_report(cfg: ModelConfig, code: Code) -> list[ComplexityRow]:
     """Cross-attention vs self-attention masked-complexity comparison."""
-    n, k = code.n, code.k
-    m = n - k
     graph = tanner_graph(code.pcm)
-    h_tilde = graph.n_edges
-    h = graph.ecct_mask.unmasked_count()
+    cross, self_ = graph.cross_masks[0], graph.ecct_mask
     return [
         ComplexityRow(
             decoder="crossmpt",
-            attention_map_area=2 * n * m,
-            unmasked=h_tilde,
-            density=h_tilde / (n * m),
+            attention_map_area=2 * cross.support.size,
+            unmasked=cross.unmasked_count(),
+            density=cross.density,
             flops=flops_estimate(cfg, code, "crossmpt"),
         ),
         ComplexityRow(
             decoder="ecct",
-            attention_map_area=(2 * n - k) ** 2,
-            unmasked=h,
-            density=h / (2 * n - k) ** 2,
+            attention_map_area=self_.support.size,
+            unmasked=self_.unmasked_count(),
+            density=self_.density,
             flops=flops_estimate(cfg, code, "ecct"),
         ),
     ]
@@ -368,8 +369,8 @@ def density_check(code: Code) -> dict | None:
     """
     if code.name not in PUBLISHED_MASK_DENSITIES:
         return None
-    rows = complexity_report(ModelConfig(), code)
-    ours = (100 * rows[0].density, 100 * rows[1].density)
+    graph = tanner_graph(code.pcm)
+    ours = (100 * graph.cross_masks[0].density, 100 * graph.ecct_mask.density)
     published = PUBLISHED_MASK_DENSITIES[code.name]
     cross_matches, self_matches = (abs(o - p) <= 0.005 for o, p in zip(ours, published))
     return {

@@ -77,8 +77,6 @@ class TannerGraph:
         self.check_of_edge = checks.astype(np.int64)
         self.var_of_edge = vars_.astype(np.int64)
         self.n_edges = len(checks)
-        if self.n_edges != h.popcount():
-            raise AssertionError("edge count mismatch")
         # check tables are slot-major, (dmax, m), so that the extrinsic
         # products and minima run over one whole (B, m) slot at a time
         self._cn_edges, self._cn_pad = (t.T.copy() for t in _padded_groups(self.check_of_edge, self.m))

@@ -259,6 +259,21 @@ def crossmpt_layer(
     return m_new, s_new
 
 
+def _cross_stack(
+    params: dict[str, Tensor],
+    cfg: ModelConfig,
+    graph: TannerGraph,
+    mag: np.ndarray,
+    syn: np.ndarray,
+    capture: list | None,
+) -> tuple[Tensor, Tensor]:
+    """Embed both streams and run the layer stack of every cross-attention variant."""
+    m_t, s_t = _embed_tensors(params, cfg, mag.shape[-1], mag, syn)
+    for i in range(cfg.n_layers):
+        m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), graph.cross_masks, cfg, capture)
+    return m_t, s_t
+
+
 def _head_code_specific(params: dict[str, Tensor], x: Tensor) -> Tensor:
     """(…, 2n-k, d) -> (…, n) through norm, shared d->1 FC, then dense FC."""
     x = ad.layer_norm(x, params["head.norm.gain"], params["head.norm.bias"])
@@ -277,15 +292,13 @@ def _foundation_tower(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     graph: TannerGraph,
-    m_t: Tensor,
-    s_t: Tensor,
+    mag: np.ndarray,
+    syn: np.ndarray,
     capture: list | None,
 ) -> Tensor:
     """Run the layer stack, then produce this tower's n x d head contribution:
     norm both streams, resize the syndrome through the PCM transpose, add."""
-    masks = graph.cross_masks
-    for i in range(cfg.n_layers):
-        m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), masks, cfg, capture)
+    m_t, s_t = _cross_stack(params, cfg, graph, mag, syn, capture)
     m_n = ad.layer_norm(m_t, params["head.norm.gain"], params["head.norm.bias"])
     s_n = ad.layer_norm(s_t, params["head.norm.gain"], params["head.norm.bias"])
     ht = ad.constant(graph.ht.astype(m_n.dtype, copy=False))
@@ -308,11 +321,10 @@ def foundation_logits(
     (sorted by PCM bytes), which makes the result exactly invariant to that
     order.
     """
-    n = mag.shape[-1]
-    contribs = []
-    for pcm, syn in zip(pcms, syndromes):
-        m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
-        contribs.append(_foundation_tower(params, cfg, tanner_graph(pcm), m_t, s_t, capture))
+    contribs = [
+        _foundation_tower(params, cfg, tanner_graph(pcm), mag, syn, capture)
+        for pcm, syn in zip(pcms, syndromes)
+    ]
     order = sorted(range(len(pcms)), key=lambda j: pcms[j].bits.tobytes())
     fused = contribs[order[0]]
     for j in order[1:]:
@@ -334,16 +346,11 @@ def forward_arrays(
     if cfg.variant is Variant.FCROSSMPT:
         return foundation_logits(params, cfg, [pcm], mag, [syn], capture)
     graph = tanner_graph(pcm)
-    n = mag.shape[-1]
-    m_t, s_t = _embed_tensors(params, cfg, n, mag, syn)
     if cfg.variant is Variant.CROSSMPT:
-        masks = graph.cross_masks
-        for i in range(cfg.n_layers):
-            m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), masks, cfg, capture)
-        return _head_code_specific(params, ad.concat([m_t, s_t], axis=-2))
+        return _head_code_specific(params, ad.concat(_cross_stack(params, cfg, graph, mag, syn, capture)))
     # self-attention variants
     mask = graph.ecct_mask if cfg.variant is Variant.ECCT else graph.fully_masked_ecct_mask
-    x = ad.concat([m_t, s_t], axis=-2)
+    x = ad.concat(_embed_tensors(params, cfg, mag.shape[-1], mag, syn))
     for i in range(cfg.n_layers):
         cap = [] if capture is not None else None
         lp = _layer_params(params, i)

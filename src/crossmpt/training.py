@@ -99,6 +99,8 @@ class TrainConfig:
             )
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.p != 1 and not self.is_ensemble:
+            raise ValueError(f"p={self.p} applies only to variant 'crossed', not {self.variant!r}")
         model = self.model_config()  # raises on an invalid architecture
         if len(self.codes) > 1 and not model.code_agnostic:
             raise ValueError(
@@ -144,15 +146,13 @@ def loss(logits: Tensor, target: np.ndarray) -> Tensor:
     with the flipped placement: target 1 penalizes sigma(f) near 1 through
     -log(1 - sigma(f)), target 0 penalizes through -log(sigma(f)).
 
-    Evaluates as sum_i [ t_i * softplus(f_i) + (1 - t_i) * softplus(-f_i) ],
-    summed over positions and averaged over any batch rows.
+    Evaluates as sum_i softplus((2 t_i - 1) f_i) over targets t_i in {0, 1}: one
+    softplus of the sign-flipped logits, summed over positions, averaged over rows.
     """
     t = np.asarray(target, dtype=logits.dtype)
     if t.shape != logits.shape:
         raise ValueError(f"target shape {t.shape} != logits shape {logits.shape}")
-    pos = ad.mul(ad.constant(t), ad.softplus(logits))
-    neg_arm = ad.mul(ad.constant(1.0 - t), ad.softplus(ad.neg(logits)))
-    total = ad.reduce_sum(ad.add(pos, neg_arm))
+    total = ad.reduce_sum(ad.softplus(ad.mul(ad.constant(2.0 * t - 1.0), logits)))
     rows = 1 if logits.data.ndim < 2 else int(np.prod(logits.data.shape[:-1]))
     return ad.scale(total, 1.0 / rows)
 

@@ -1,7 +1,9 @@
 import json
 import logging
+import pathlib
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -466,8 +468,9 @@ class TestConfigurationErrorsExit2:
         (["--code", "hamming_7_4", "--checkpoint-every", "-1"], "checkpoint_every"),
         (["--code", "hamming_7_4", "--codes", "bch_15_7", "--epochs", "1",
           "--batches-per-epoch", "1"], "--code or --codes"),
+        (["--code", "hamming_7_4", "--variant", "crossmpt", "--p", "0"], "p=0"),
     ], ids=["heads", "crossed_p", "multi_code", "unknown_code", "ebn0_range", "ebn0_lo_nan",
-            "ebn0_lo_minus_inf", "checkpoint_every", "code_and_codes"])
+            "ebn0_lo_minus_inf", "checkpoint_every", "code_and_codes", "p_outside_crossed"])
     def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
         result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
         self.assert_config_error(result, cause)
@@ -528,6 +531,48 @@ class TestConfigurationErrorsExit2:
         ])
         self.assert_config_error(result, "--ebn0")
         assert not (tmp_path / "out").exists()
+
+    def test_eval_out_through_a_regular_file_is_refused_before_sampling(self, runner, tmp_path,
+                                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before --out was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        (tmp_path / "file").write_text("")
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--ebn0", "3",
+            "--max-bits", "7000", "--out", str(tmp_path / "file" / "out"),
+        ])
+        self.assert_config_error(result, "cannot create output directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--code", "hamming_7_4"],
+        ["build-ensemble", "--code", "hamming_7_4", "--p", "2"],
+        ["train", "--code", "hamming_7_4", "--epochs", "1", "--batches-per-epoch", "1"],
+    ], ids=["analyze", "build_ensemble", "train"])
+    def test_out_through_a_regular_file(self, runner, tmp_path, command):
+        (tmp_path / "file").write_text("")
+        result = runner.invoke(main, [*command, "--out", str(tmp_path / "file" / "out")])
+        self.assert_config_error(result, "cannot create output directory")
+
+    def test_out_directory_that_cannot_be_made(self, runner, tmp_path, monkeypatch):
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", denied)
+        result = runner.invoke(main, ["analyze", "--code", "hamming_7_4", "--out", str(tmp_path / "out")])
+        self.assert_config_error(result, "Permission denied")
+
+    def test_eval_bp_at_infinite_ebn0(self, runner, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "eval", "--code", "hamming_7_4", "--decoder", "bp", "--ebn0", "inf",
+                "--max-bits", "700", "--out", str(tmp_path / "out"),
+            ])
+        self.assert_config_error(result, "BP needs a finite Eb/N0, got inf dB")
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_dump_attention_nan_ebn0(self, runner, tmp_path, tiny_checkpoint):
         result = runner.invoke(main, [
