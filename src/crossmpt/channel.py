@@ -52,7 +52,8 @@ def ebn0_to_sigma(ebn0_db: float | np.ndarray, rate: float) -> float | np.ndarra
     """AWGN noise std-dev for a given Eb/N0 (dB, elementwise) and code rate."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    return 1.0 / np.sqrt(2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    with np.errstate(divide="ignore"):  # -inf dB is pure noise: sigma = inf
+        return 1.0 / np.sqrt(2.0 * rate * 10.0 ** (ebn0_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,8 @@ def syndromes_of(code: Code, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(tanner_graph(h).syndrome(bits) for h in code.pcms)
 
 
-def _derive(code: Code, x: np.ndarray, x_s: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:
+def _derive(code: Code, x: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:
+    x_s = modulate(x)
     y_b = hard_decision(y)
     mag = np.abs(y)
     target = hard_decision(y * x_s)
@@ -166,15 +168,14 @@ def sample_batch(
         x = code.encode_batch(msgs)
     else:
         raise ValueError(f"unknown codeword policy {policy!r}")
-    x_s = modulate(x)
     lo, hi = spec.ebn0_range_db
     if lo == hi:
         ebn0 = np.full(count, lo)
     else:
         ebn0 = rng.uniform(lo, hi, size=count)
     sigma = ebn0_to_sigma(ebn0, spec.rate)
-    y = x_s + rng.standard_normal((count, n)) * sigma[:, None]
-    return _derive(code, x, x_s, y, ebn0)
+    y = modulate(x) + rng.standard_normal((count, n)) * sigma[:, None]
+    return _derive(code, x, y, ebn0)
 
 
 def sample(
@@ -201,13 +202,6 @@ def make_invariance_pair(code: Code, noise_pattern: ChannelSample, new_codeword:
     if not code.contains(new_codeword):
         raise ValueError("word fails the parity-check membership test")
     mult_noise = noise_pattern.y * noise_pattern.x_s  # x_s is +-1
-    x_s = modulate(new_codeword)
-    y = x_s * mult_noise
-    batch = _derive(
-        code,
-        new_codeword[None, :],
-        x_s[None, :],
-        y[None, :],
-        np.array([noise_pattern.ebn0_db]),
-    )
+    y = modulate(new_codeword) * mult_noise
+    batch = _derive(code, new_codeword[None, :], y[None, :], np.array([noise_pattern.ebn0_db]))
     return batch.row(0)

@@ -91,7 +91,6 @@ class Checkpoint:
 def save_checkpoint(
     path: str | Path,
     *,
-    kind: str,
     model_cfg: ModelConfig,
     codes: list[Code],
     params: dict[str, Tensor],
@@ -103,11 +102,13 @@ def save_checkpoint(
     train_cfg: dict | None = None,
     extra: dict | None = None,
 ) -> Path:
+    """Write a checkpoint whose header kind is "ensemble" exactly when branch
+    PCMs are given, and "model" otherwise."""
     path = Path(path)
     header = {
         "format": FORMAT,
         "version": VERSION,
-        "kind": kind,
+        "kind": "ensemble" if branch_pcms else "model",
         "model": config_to_dict(model_cfg),
         "codes": [
             {"name": c.name, "n": c.n, "k": c.k, "class": c.code_class.value} for c in codes

@@ -177,7 +177,7 @@ def codes_validate(name: str | None) -> None:
 @click.option("--lr-min", type=float, default=None)
 @click.option("--ebn0-lo", type=float, default=None)
 @click.option("--ebn0-hi", type=float, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--checkpoint-every", type=int, default=None)
 @click.option("--resume", "resume_from", default=None, help="checkpoint to continue from")
 @click.option("--out", default=None, help="output directory")
@@ -275,7 +275,7 @@ def _decoder_from_checkpoint(path: str, code):
 @click.option("--min-errors", type=int, default=100)
 @click.option("--max-bits", type=int, default=10_000_000)
 @click.option("--policy", type=click.Choice(["random", "all_zero"]), default="random")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--bitwise/--no-bitwise", default=False, help="also write bitwise.csv")
 @click.option("--out", default=None)
 def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algorithm,
@@ -382,7 +382,7 @@ def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
               help="force a single sign flip at this bit position (0-based) on a clean frame")
 @click.option("--ebn0", type=float, default=5.0, help="noise level when not using --flip-bit")
 @click.option("--layers", default=None, help="layer range lo..hi (1-based)")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", default=None)
 def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out) -> None:
     """Write per-layer attention maps and vertical sums as CSV files."""
@@ -405,7 +405,7 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
         x = np.zeros((1, code.n), dtype=np.uint8)
         y = modulate(x)
         y[0, flip_bit] *= -1.0
-        smp = _derive(decoder.code, x, modulate(x), y, np.array([np.inf])).row(0)
+        smp = _derive(decoder.code, x, y, np.array([np.inf])).row(0)
     else:
         try:
             spec = NoiseSpec.for_code(decoder.code, ebn0, seed=seed)

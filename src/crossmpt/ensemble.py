@@ -10,7 +10,6 @@ diagonalization at that window.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,27 +91,21 @@ def crossed_forward(
     reduced in a canonical branch order, so logits are exactly invariant to
     permutations of the branch list.
     """
-    if len(syndromes) != ens.p:
-        raise ValueError(f"got {len(syndromes)} syndromes for {ens.p} branches")
-    return foundation_logits(params, ens.base, ens.pcms, mag, list(syndromes), capture)
+    return foundation_logits(params, ens.base, ens.pcms, mag, syndromes, capture)
 
 
 class CrossEDModel(DecoderModel):
-    """Ensemble decoder: a foundation DecoderModel over the branch code, whose
-    forward runs one weight-shared tower per branch PCM."""
+    """Ensemble decoder: the foundation DecoderModel over the branch code, which
+    runs one weight-shared tower per branch PCM."""
 
     def __init__(
         self,
         ens: EnsembleConfig,
         params: dict[str, Tensor] | None = None,
         seed: int = 0,
-        dtype=np.float64,
         infer_only: bool = False,
     ):
-        super().__init__(ens.base, ens.branch_code(), params, seed, dtype, infer_only)
+        super().__init__(ens.base, ens.branch_code(), params, seed, infer_only)
         self.ens = ens
 
-    def logits(self, mag: np.ndarray, syndromes: Sequence[np.ndarray], capture=None) -> Tensor:
-        return crossed_forward(self.params, self.ens, mag, syndromes, capture)
-
-    logits_batch = logits
+    logits_batch = DecoderModel.logits

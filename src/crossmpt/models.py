@@ -55,7 +55,6 @@ class Variant(Enum):
     ECCT_FULLY_MASKED = "ecct_fully_masked"
 
 
-FOUNDATION_VARIANTS = (Variant.FCROSSMPT,)
 FFN_EXPANSION = 4  # FFN hidden width per embedding dimension
 
 
@@ -77,7 +76,7 @@ class ModelConfig:
 
     @property
     def code_agnostic(self) -> bool:
-        return self.variant in FOUNDATION_VARIANTS
+        return self.variant is Variant.FCROSSMPT
 
 
 def _layer_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -222,13 +221,13 @@ def _layer_params(params: dict[str, Tensor], i: int) -> dict[str, Tensor]:
 def _embed_tensors(
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    n: int,
     mag: np.ndarray,
     syn: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
     if cfg.code_agnostic:
         w_mag, w_syn = params["embed.mag"], params["embed.syn"]
     else:
+        n = mag.shape[-1]
         w_mag = ad.narrow(params["embed.pos"], 0, n, axis=0)
         w_syn = ad.narrow(params["embed.pos"], n, params["embed.pos"].shape[0], axis=0)
     dtype = w_mag.dtype
@@ -268,7 +267,7 @@ def _cross_stack(
     capture: list | None,
 ) -> tuple[Tensor, Tensor]:
     """Embed both streams and run the layer stack of every cross-attention variant."""
-    m_t, s_t = _embed_tensors(params, cfg, mag.shape[-1], mag, syn)
+    m_t, s_t = _embed_tensors(params, cfg, mag, syn)
     for i in range(cfg.n_layers):
         m_t, s_t = crossmpt_layer(m_t, s_t, _layer_params(params, i), graph.cross_masks, cfg, capture)
     return m_t, s_t
@@ -310,7 +309,7 @@ def foundation_logits(
     cfg: ModelConfig,
     pcms: Sequence[BinaryMatrix],
     mag: np.ndarray,
-    syndromes: list[np.ndarray],
+    syndromes: Sequence[np.ndarray],
     capture: list | None = None,
 ) -> Tensor:
     """Shared-weight foundation forward over one or more PCM branches, fused
@@ -321,6 +320,8 @@ def foundation_logits(
     (sorted by PCM bytes), which makes the result exactly invariant to that
     order.
     """
+    if len(syndromes) != len(pcms):
+        raise ValueError(f"got {len(syndromes)} syndromes for {len(pcms)} branches")
     contribs = [
         _foundation_tower(params, cfg, tanner_graph(pcm), mag, syn, capture)
         for pcm, syn in zip(pcms, syndromes)
@@ -350,7 +351,7 @@ def forward_arrays(
         return _head_code_specific(params, ad.concat(_cross_stack(params, cfg, graph, mag, syn, capture)))
     # self-attention variants
     mask = graph.ecct_mask if cfg.variant is Variant.ECCT else graph.fully_masked_ecct_mask
-    x = ad.concat(_embed_tensors(params, cfg, mag.shape[-1], mag, syn))
+    x = ad.concat(_embed_tensors(params, cfg, mag, syn))
     for i in range(cfg.n_layers):
         cap = [] if capture is not None else None
         lp = _layer_params(params, i)
@@ -393,17 +394,19 @@ class DecoderModel:
         code: Code,
         params: dict[str, Tensor] | None = None,
         seed: int = 0,
-        dtype=np.float64,
         infer_only: bool = False,
     ):
         self.cfg = cfg
         self.code = code
-        self.params = params if params is not None else init_params(cfg, code, seed, dtype)
+        self.params = params if params is not None else init_params(cfg, code, seed)
         if infer_only:
             self.params = freeze(self.params)
 
     def logits(self, mag: np.ndarray, syndromes: Sequence[np.ndarray], capture=None) -> Tensor:
-        """Logits from the magnitudes and one syndrome array per PCM of the code."""
+        """Logits from the magnitudes and one syndrome array per PCM of the code;
+        a code-agnostic model runs one weight-shared tower per PCM."""
+        if self.cfg.code_agnostic:
+            return foundation_logits(self.params, self.cfg, self.code.pcms, mag, syndromes, capture)
         return forward_arrays(self.params, self.cfg, self.code.pcm, mag, syndromes[0], capture)
 
     def logits_batch(self, mag: np.ndarray, syn: np.ndarray, capture: list | None = None) -> Tensor:

@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError(
                 f"need finite ebn0_lo <= ebn0_hi, got ebn0_lo={self.ebn0_lo}, ebn0_hi={self.ebn0_hi}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.p != 1 and not self.is_ensemble:
@@ -162,6 +164,7 @@ class _Lane:
 
     def __init__(self, train_cfg: TrainConfig, model_cfg: ModelConfig, code: Code):
         self.name = code.name
+        self.model_cfg = model_cfg
         if train_cfg.is_ensemble:
             self.ens: EnsembleConfig | None = build_ensemble(code, train_cfg.p, base=model_cfg)
             self.sampling_code = self.ens.branch_code()
@@ -172,13 +175,13 @@ class _Lane:
             self.sampling_code, train_cfg.ebn0_lo, train_cfg.ebn0_hi, seed=train_cfg.seed
         )
 
-    def logits(self, params, model_cfg, mag: np.ndarray, syndromes: list[np.ndarray]) -> Tensor:
+    def logits(self, params, mag: np.ndarray, syndromes: list[np.ndarray]) -> Tensor:
         if self.ens is not None:
             return crossed_forward(params, self.ens, mag, syndromes)
-        return forward_arrays(params, model_cfg, self.sampling_code.pcm, mag, syndromes[0])
+        return forward_arrays(params, self.model_cfg, self.sampling_code.pcm, mag, syndromes[0])
 
 
-def _step_gradients(params: dict[str, Tensor], lane: _Lane, model_cfg: ModelConfig, batch) -> float:
+def _step_gradients(params: dict[str, Tensor], lane: _Lane, batch) -> float:
     """Set every parameter's gradient of the batch-mean loss; return that loss.
 
     Each fixed row half runs forward, loss and backward on its own leaves,
@@ -190,7 +193,7 @@ def _step_gradients(params: dict[str, Tensor], lane: _Lane, model_cfg: ModelConf
 
     def half(rows: slice):
         leaves = {name: ad.parameter(p.data, p.dtype) for name, p in params.items()}
-        logits = lane.logits(leaves, model_cfg, batch.mag[rows], [s[rows] for s in batch.syndromes])
+        logits = lane.logits(leaves, batch.mag[rows], [s[rows] for s in batch.syndromes])
         loss_t = loss(logits, batch.target[rows])
         share = (rows.stop - rows.start) / size
         value = share * loss_t.item()
@@ -224,11 +227,12 @@ def _validate_resume(stored: dict, cfg: TrainConfig) -> None:
 @one_blas_thread()
 def train(
     cfg: TrainConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     interrupt_after: int | None = None,
     resume_from: str | Path | None = None,
 ) -> TrainReport:
-    """Run (or continue) a training trajectory.
+    """Run (or continue) a training trajectory; its checkpoints and
+    training_log.csv go into out_dir, which is created if needed.
 
     Data and code selection are pure functions of (seed, epoch, batch), so a
     run interrupted at any epoch boundary and resumed from its checkpoint
@@ -243,7 +247,6 @@ def train(
     codes = [get_code(name) for name in cfg.codes]
     model_cfg = cfg.model_config()
     lanes = [_Lane(cfg, model_cfg, code) for code in codes]
-    dtype = np.float64 if cfg.dtype == "float64" else np.float32
 
     start_epoch = 0
     if resume_from is not None:
@@ -262,22 +265,18 @@ def train(
             **{key: list(extra.get(key, [None] * len(losses))) for key in _NORM_COLUMNS},
         )
     else:
-        param_code = None if model_cfg.code_agnostic else codes[0]
-        params = init_params(model_cfg, param_code, seed=cfg.seed, dtype=dtype)
+        params = init_params(model_cfg, codes[0], seed=cfg.seed, dtype=np.dtype(cfg.dtype))
         adam = AdamState.for_params(params)
         report = TrainReport()
 
     total_steps = cfg.epochs * cfg.batches_per_epoch
     schedule_steps = max(total_steps - 1, 1)
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
 
     def save(epoch_done: int, tag: str) -> Path:
-        target = out_path / f"checkpoint_{tag}.npz" if out_path else Path(f"checkpoint_{tag}.npz")
         return save_checkpoint(
-            target,
-            kind="ensemble" if cfg.is_ensemble else "model",
+            out_path / f"checkpoint_{tag}.npz",
             model_cfg=model_cfg,
             codes=codes,
             params=params,
@@ -310,7 +309,7 @@ def train(
                 policy="all_zero",
                 stream=(_TAG_DATA, epoch, b),
             )
-            value = _step_gradients(params, lane, model_cfg, batch)
+            value = _step_gradients(params, lane, batch)
             if not np.isfinite(value):
                 raise NumericFailure(
                     f"non-finite loss {value} at epoch {epoch} batch {b} "
@@ -341,8 +340,7 @@ def train(
 
     report.wall_time_s = time.perf_counter() - started
     report.checkpoint_path = str(final_path)
-    if out_path is not None:
-        _write_log(out_path / "training_log.csv", report)
+    _write_log(out_path / "training_log.csv", report)
     return report
 
 

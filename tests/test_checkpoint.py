@@ -1,5 +1,6 @@
 import errno
 import io
+import json
 import shutil
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ def test_model_checkpoint_round_trip_is_exact(tmp_path):
     for k in adam.m:
         adam.m[k] += 0.125
     path = save_checkpoint(
-        tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code], params=params,
+        tmp_path / "ck.npz", model_cfg=cfg, codes=[code], params=params,
         seed=5, step=340, epoch=17, adam=adam,
     )
     ck = load_checkpoint(path)
@@ -52,7 +53,7 @@ def test_ensemble_checkpoint_embeds_branch_pcms(tmp_path):
     ens = build_ensemble(code, 3, base=base)
     params = init_params(base, None, seed=6)
     path = save_checkpoint(
-        tmp_path / "ens.npz", kind="ensemble", model_cfg=base, codes=[code], params=params,
+        tmp_path / "ens.npz", model_cfg=base, codes=[code], params=params,
         seed=6, step=0, epoch=0, branch_pcms=list(ens.pcms),
     )
     ck = load_checkpoint(path)
@@ -66,9 +67,11 @@ def test_ensemble_checkpoint_without_branch_pcms_is_refused(tmp_path):
     # the stored branch PCMs are the one record of the branch count
     base = ModelConfig(variant=Variant.FCROSSMPT, n_layers=1, embed_dim=8)
     path = save_checkpoint(
-        tmp_path / "ens.npz", kind="ensemble", model_cfg=base, codes=[get_code("bch_31_21")],
+        tmp_path / "ens.npz", model_cfg=base, codes=[get_code("bch_31_21")],
         params=init_params(base, None, seed=6), seed=6, step=0, epoch=0,
     )
+    assert load_checkpoint(path).kind == "model"
+    _rewrite_header(path, kind="ensemble")
     with pytest.raises(CheckpointError, match="branch"):
         load_checkpoint(path)
 
@@ -85,15 +88,10 @@ def test_rejects_future_version(tmp_path):
     cfg = ModelConfig(variant=Variant.ECCT, n_layers=1, embed_dim=8)
     params = init_params(cfg, code, seed=1)
     path = save_checkpoint(
-        tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code], params=params,
+        tmp_path / "ck.npz", model_cfg=cfg, codes=[code], params=params,
         seed=1, step=0, epoch=0,
     )
-    import json
-    data = dict(np.load(path, allow_pickle=False))
-    header = json.loads(bytes(data["__header__"]).decode())
-    header["version"] = 99
-    data["__header__"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **data)
+    _rewrite_header(path, version=99)
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
@@ -104,11 +102,19 @@ def _rewrite_arrays(path, **changes):
     np.savez(path, **data)
 
 
+def _rewrite_header(path, **changes):
+    """Set top-level header fields of a saved checkpoint, in place."""
+    with np.load(path, allow_pickle=False) as archive:
+        header = json.loads(bytes(archive["__header__"]).decode())
+    header.update(changes)
+    _rewrite_arrays(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
+
+
 def test_rejects_registry_code_whose_stored_pcm_differs(tmp_path):
     code = get_code("hamming_7_4")
     cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
     path = save_checkpoint(
-        tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code],
+        tmp_path / "ck.npz", model_cfg=cfg, codes=[code],
         params=init_params(cfg, code, seed=1), seed=1, step=0, epoch=0,
     )
     # a column permutation keeps the PCM full-rank but changes the code
@@ -153,7 +159,7 @@ def test_failed_write_leaves_no_file_at_the_target(tmp_path, monkeypatch):
     target = tmp_path / "ck.npz"
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(
-            target, kind="model", model_cfg=cfg, codes=[code],
+            target, model_cfg=cfg, codes=[code],
             params=init_params(cfg, code, seed=1), seed=1, step=0, epoch=0,
         )
     assert not target.exists()
@@ -229,7 +235,7 @@ class TestStoredCodes:
     def save(tmp_path, code):
         cfg = ModelConfig(variant=Variant.FCROSSMPT, n_layers=1, embed_dim=8)
         return save_checkpoint(
-            tmp_path / "ck.npz", kind="model", model_cfg=cfg, codes=[code],
+            tmp_path / "ck.npz", model_cfg=cfg, codes=[code],
             params=init_params(cfg, None, seed=1), seed=1, step=0, epoch=0,
         )
 

@@ -149,7 +149,7 @@ class TestEvalCommand:
         from crossmpt.evaluation import uncoded_bpsk_ber
         assert lo <= uncoded_bpsk_ber(4.0, 0.5) <= hi
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_ebn0_points_are_the_noiseless_and_pure_noise_limits(self, runner, tmp_path):
         out = tmp_path / "limits"
         result = invoke(
@@ -474,6 +474,21 @@ class TestConfigurationErrorsExit2:
     def test_train_invalid_architecture(self, runner, tmp_path, args, cause):
         result = runner.invoke(main, ["train", *args, "--out", str(tmp_path / "out")])
         self.assert_config_error(result, cause)
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--code", "hamming_7_4", "--seed", "-1"],
+        ["train", "--config", "{config}"],
+        ["eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--ebn0", "3", "--seed", "-1"],
+        ["dump-attention", "--checkpoint", "{checkpoint}", "--code", "ldpc_32_16", "--seed", "-1"],
+    ], ids=["train", "train_config", "eval", "dump_attention"])
+    def test_negative_seed(self, runner, tmp_path, tiny_checkpoint, command):
+        # numpy seed sequences take no negative entries; refused before any output
+        config = tmp_path / "seed.cfg"
+        config.write_text("codes = hamming_7_4\nseed = -1\n")
+        args = [a.format(config=config, checkpoint=tiny_checkpoint) for a in command]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+        self.assert_config_error(result, "seed")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("norm_order", "post"), ("per_batch_ebn0", True), ("code_sampling", "proportional"),

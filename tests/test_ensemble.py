@@ -3,7 +3,7 @@ import pytest
 
 from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.codes import get_code, list_codes
-from crossmpt.ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report
+from crossmpt.ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report, crossed_forward
 from crossmpt.gf2 import (
     complementary_pcm,
     gf2_matmul,
@@ -12,7 +12,7 @@ from crossmpt.gf2 import (
     stack_rows,
     systematic_form,
 )
-from crossmpt.models import DecoderModel, ModelConfig, Variant, init_params, param_count
+from crossmpt.models import DecoderModel, ModelConfig, Variant, foundation_logits, init_params, param_count
 
 
 def base_cfg(d=8, n_layers=1):
@@ -130,6 +130,18 @@ class TestCrossedForward:
         b = dm.logits_batch(batch.mag, batch.syndromes[0]).data
         assert a.tobytes() == b.tobytes()
 
+    def test_fcrossmpt_over_the_branch_code_is_crossed_bitwise(self):
+        code = get_code("bch_31_21")
+        ens = build_ensemble(code, 2, base=base_cfg())
+        params = init_params(ens.base, None, seed=34)
+        dm = DecoderModel(ens.base, ens.branch_code(), params=params)
+        em = CrossEDModel(ens, params=params)
+        batch = sample_batch(ens.branch_code(), NoiseSpec.for_code(code, 4.0, seed=35), 5, policy="random")
+        a = dm.logits(batch.mag, batch.syndromes).data
+        b = em.logits_batch(batch.mag, list(batch.syndromes)).data
+        c = crossed_forward(params, ens, batch.mag, list(batch.syndromes)).data  # the training forward
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+
     def test_identical_branches_scale_prefc_embedding(self):
         code = get_code("bch_15_7")
         h_sys = systematic_form(code.pcm)
@@ -157,6 +169,8 @@ class TestCrossedForward:
         batch = sample_batch(ens.branch_code(), NoiseSpec.for_code(code, 4.0, seed=37), 2)
         with pytest.raises(ValueError, match="branches"):
             model.logits_batch(batch.mag, [batch.syndromes[0]])
+        with pytest.raises(ValueError, match="branches"):  # one syndrome array too many
+            foundation_logits(model.params, ens.base, ens.pcms, batch.mag, [*batch.syndromes, batch.syndromes[0]])
 
     def test_trained_ensemble_keeps_clean_frames_at_zero_noise(self, tmp_path):
         # all branches see a zero syndrome on a noiseless frame; a (briefly)

@@ -44,7 +44,7 @@ class TestEmbed:
         spec = NoiseSpec.for_code(code, 4.0, seed=2)
         smp = sample(code, spec)
         smp.mag[3] = 0.0
-        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        mag_t, _ = _embed_tensors(params, cfg, smp.mag, smp.syndromes[0])
         assert np.array_equal(mag_t.data[3], np.zeros(8))
 
     def test_foundation_equal_magnitudes_share_embeddings(self):
@@ -53,7 +53,7 @@ class TestEmbed:
         params = init_params(cfg, None, seed=1)
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=3))
         smp.mag[0] = smp.mag[5] = 0.77
-        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        mag_t, _ = _embed_tensors(params, cfg, smp.mag, smp.syndromes[0])
         assert np.array_equal(mag_t.data[0], mag_t.data[5])
 
     def test_positional_embeddings_distinguish_equal_magnitudes(self):
@@ -62,7 +62,7 @@ class TestEmbed:
         params = init_params(cfg, code, seed=1)
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=3))
         smp.mag[0] = smp.mag[5] = 0.77
-        mag_t, _ = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        mag_t, _ = _embed_tensors(params, cfg, smp.mag, smp.syndromes[0])
         assert not np.array_equal(mag_t.data[0], mag_t.data[5])
 
     def test_zero_syndrome_contribution_is_zero_after_resize(self):
@@ -72,7 +72,7 @@ class TestEmbed:
         params = init_params(cfg, None, seed=4)
         smp = sample(code, NoiseSpec.for_code(code, 60.0, seed=5))
         assert not smp.syndromes[0].any()
-        _, syn_t = _embed_tensors(params, cfg, code.n, smp.mag, smp.syndromes[0])
+        _, syn_t = _embed_tensors(params, cfg, smp.mag, smp.syndromes[0])
         assert np.array_equal(syn_t.data, np.zeros((8, cfg.embed_dim)))
         resized = code.pcm.bits.T.astype(float) @ syn_t.data
         assert np.array_equal(resized, np.zeros((15, cfg.embed_dim)))
@@ -366,10 +366,11 @@ FRAME_MODELS = [v.value for v in Variant] + ["crossed"]
 @functools.cache
 def frame_model(kind, dtype):
     code = get_code("bch_15_7")
+    cfg = small_cfg(Variant.FCROSSMPT if kind == "crossed" else Variant(kind), d=16)
+    params = init_params(cfg, code, seed=7, dtype=dtype)
     if kind == "crossed":
-        ens = build_ensemble(code, 2, base=small_cfg(Variant.FCROSSMPT, d=16))
-        return CrossEDModel(ens, seed=7, dtype=dtype, infer_only=True)
-    return DecoderModel(small_cfg(Variant(kind), d=16), code, seed=7, dtype=dtype, infer_only=True)
+        return CrossEDModel(build_ensemble(code, 2, base=cfg), params=params, infer_only=True)
+    return DecoderModel(cfg, code, params=params, infer_only=True)
 
 
 def logits_of(model, batch, rows):

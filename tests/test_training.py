@@ -104,15 +104,15 @@ class TestTrainLoop:
                         epochs=1, batches_per_epoch=1, batch_size=4)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_loss_aborts_with_diagnostics(self):
+    def test_nan_loss_aborts_with_diagnostics(self, tmp_path):
         bad = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
                           epochs=1, batches_per_epoch=50, batch_size=16,
                           lr0=1e200, lr_min=1e198, seed=1)
         with pytest.raises(NumericFailure, match="epoch 0"):
-            train(bad)
+            train(bad, out_dir=tmp_path)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_gradient_aborts_at_its_own_step(self, monkeypatch):
+    def test_non_finite_gradient_aborts_at_its_own_step(self, monkeypatch, tmp_path):
         from crossmpt import parallel, training
 
         real_clip = training.clip_global_norm
@@ -130,7 +130,7 @@ class TestTrainLoop:
                           epochs=1, batches_per_epoch=5, batch_size=8, seed=19)
         with pytest.raises(NumericFailure,
                            match=r"gradient norm inf at epoch 0 batch 2 \(code hamming_7_4"):
-            train(cfg)
+            train(cfg, out_dir=tmp_path)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_steps_run_on_one_blas_thread_and_restore_the_count(self, monkeypatch, tmp_path):
@@ -156,7 +156,7 @@ class TestTrainLoop:
             train(cfg, out_dir=tmp_path)
             assert seen == [1, 1] and get() == 2
             with pytest.raises(NumericFailure):
-                train(replace(cfg, lr0=1e200, lr_min=1e198, batches_per_epoch=50))
+                train(replace(cfg, lr0=1e200, lr_min=1e198, batches_per_epoch=50), out_dir=tmp_path / "nan")
             assert get() == 2
         finally:
             put(before)
@@ -336,7 +336,7 @@ class TestResume:
         partial = train(cfg, out_dir=tmp_path / "p", interrupt_after=1)
         changed = TrainConfig(**{**cfg.__dict__, "batch_size": 16})
         with pytest.raises(ConfigMismatchError, match="batch_size"):
-            train(changed, resume_from=partial.checkpoint_path)
+            train(changed, out_dir=tmp_path / "r", resume_from=partial.checkpoint_path)
 
     def test_resume_refuses_changed_codes(self, tmp_path):
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1,
@@ -344,7 +344,7 @@ class TestResume:
         partial = train(cfg, out_dir=tmp_path / "p", interrupt_after=1)
         changed = TrainConfig(**{**cfg.__dict__, "codes": ("bch_15_7",)})
         with pytest.raises(ConfigMismatchError, match="codes"):
-            train(changed, resume_from=partial.checkpoint_path)
+            train(changed, out_dir=tmp_path / "r", resume_from=partial.checkpoint_path)
 
 
 class TestNormColumns:
@@ -412,7 +412,7 @@ class TestThreadCountInvariance:
             for code in codes:
                 lane = training._Lane(cfg, model_cfg, code)
                 batch = sample_batch(lane.sampling_code, lane.spec, batch_size, stream=(1, 0, 0))
-                value = training._step_gradients(params, lane, model_cfg, batch)
+                value = training._step_gradients(params, lane, batch)
                 outcome.append((value, {k: p.grad.tobytes() for k, p in params.items()}))
             steps[cores] = outcome
             report = train(cfg, out_dir=tmp_path / str(cores))
