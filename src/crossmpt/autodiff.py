@@ -8,7 +8,7 @@ runs. Graphs are built per forward pass; backward() walks the recorded
 applications exactly once and refuses to run twice on the same record.
 
 What a graph holds: the graph is a set of small `_Node`s, one per tracked
-result and one per leaf (parameters and other requires_grad inputs). A node
+result and one per leaf (a `parameter` is the only kind of leaf). A node
 holds the gradient that backward accumulates, its parent nodes, its backward
 closure and a done flag, but no output array. The `Tensor` a primitive returns
 holds the output array and a reference to its node. Each closure captures
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-5  # layer norm's variance offset
 
 
 class _Node:
@@ -85,14 +86,14 @@ class Tensor:
 
     __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, _node: _Node | None = None):
+    def __init__(self, data, _node: _Node | None = None):
         if isinstance(data, Tensor):
             raise TypeError("cannot wrap a Tensor in a Tensor")
         arr = np.asarray(data)
         if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(np.float64)
         self.data = arr
-        self._node = _Node() if requires_grad else _node
+        self._node = _node
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -179,7 +180,7 @@ class Tensor:
 
 
 def parameter(data, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+    return Tensor(np.asarray(data, dtype=dtype), _node=_Node())
 
 
 def constant(data) -> Tensor:
@@ -399,7 +400,7 @@ def masked_softmax(logits: Tensor, additive: np.ndarray) -> Tensor:
     return _record(scattered(w), (node,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then apply the
     learned affine map; gain and bias are vectors of the last axis' length.
 
@@ -409,7 +410,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.data.shape[-1]
     xhat = x.data - _row_mean(x.data)
     out_data = np.square(xhat)  # the squares for the variance, then the output
-    inv = 1.0 / np.sqrt(_row_mean(out_data) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(out_data) + _LN_EPS)
     xhat *= inv
     np.multiply(gain.data, xhat, out=out_data)
     out_data += bias.data

@@ -129,8 +129,9 @@ def syndromes_of(code: Code, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(tanner_graph(h).syndrome(bits) for h in code.pcms)
 
 
-def _derive(code: Code, x: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:
-    x_s = modulate(x)
+def _derive(code: Code, x_s: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> BatchSample:
+    """The batch that received the words y for the sent BPSK words x_s."""
+    x = hard_decision(x_s)
     y_b = hard_decision(y)
     mag = np.abs(y)
     target = hard_decision(y * x_s)
@@ -174,8 +175,9 @@ def sample_batch(
     else:
         ebn0 = rng.uniform(lo, hi, size=count)
     sigma = ebn0_to_sigma(ebn0, spec.rate)
-    y = modulate(x) + rng.standard_normal((count, n)) * sigma[:, None]
-    return _derive(code, x, y, ebn0)
+    x_s = modulate(x)
+    y = x_s + rng.standard_normal((count, n)) * sigma[:, None]
+    return _derive(code, x_s, y, ebn0)
 
 
 def sample(
@@ -202,6 +204,6 @@ def make_invariance_pair(code: Code, noise_pattern: ChannelSample, new_codeword:
     if not code.contains(new_codeword):
         raise ValueError("word fails the parity-check membership test")
     mult_noise = noise_pattern.y * noise_pattern.x_s  # x_s is +-1
-    y = modulate(new_codeword) * mult_noise
-    batch = _derive(code, new_codeword[None, :], y[None, :], np.array([noise_pattern.ebn0_db]))
+    x_s = modulate(new_codeword)[None, :]
+    batch = _derive(code, x_s, x_s * mult_noise, np.array([noise_pattern.ebn0_db]))
     return batch.row(0)

@@ -27,8 +27,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .codes import Code, CodeClass, CodeFormatError, _code_from_pcm, get_code, list_codes
 from .gf2 import BinaryMatrix
-from .models import ModelConfig, Variant
-from .optim import AdamState
+from .models import FFN_EXPANSION, ModelConfig, Variant
+from .optim import CLIP_NORM, AdamState
 
 FORMAT = "crossmpt-checkpoint"
 VERSION = 1
@@ -37,11 +37,11 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint", "CheckpointError"
 
 # Removed settings, each with the one value the program still implements:
 # layers are pre-norm, Eb/N0 is drawn per sample, mixtures draw codes
-# uniformly, gradients are clipped to global norm 1, the FFN hidden width is
-# 4 d. Keys of the header's "model" and "train_cfg" sections.
+# uniformly, gradients are clipped to global norm CLIP_NORM, the FFN hidden
+# width is FFN_EXPANSION d. Keys of the header's "model" and "train_cfg" sections.
 RETIRED_KEYS = {
-    "norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform", "clip_norm": 1.0,
-    "ffn_expansion": 4,
+    "norm_order": "pre", "per_batch_ebn0": False, "code_sampling": "uniform", "clip_norm": CLIP_NORM,
+    "ffn_expansion": FFN_EXPANSION,
 }
 
 

@@ -241,14 +241,14 @@ def _decoder_from_checkpoint(path: str, code):
     trained = ck.codes.get(code.name)
     same_pcm = trained is not None and trained.pcm == code.pcm
     if ck.kind == "ensemble":
-        if same_pcm and len(ck.codes) == 1:
-            ens = EnsembleConfig(code=code, base=cfg, pcms=tuple(ck.branch_pcms))
-        else:
-            try:
+        try:
+            if same_pcm and len(ck.codes) == 1:
+                ens = EnsembleConfig(code=code, base=cfg, pcms=tuple(ck.branch_pcms))
+            else:
                 ens = build_ensemble(code, len(ck.branch_pcms), base=cfg)
-            except ValueError as exc:
-                raise ConfigError(f"cannot decode {code.name} with the checkpoint's branches: {exc}") from exc
-        return CrossEDModel(ens, params=ck.params, infer_only=True)
+            return CrossEDModel(ens, params=ck.params, infer_only=True)
+        except ValueError as exc:
+            raise ConfigError(f"cannot decode {code.name} with the checkpoint's branches: {exc}") from exc
     if not cfg.code_agnostic:
         if trained is None:
             raise click.UsageError(
@@ -260,7 +260,10 @@ def _decoder_from_checkpoint(path: str, code):
                 f"the PCM given for {code.name} differs from the {code.name} PCM the "
                 "code-specific checkpoint was trained on; cannot decode it"
             )
-    return DecoderModel(cfg, code, params=ck.params, infer_only=True)
+    try:
+        return DecoderModel(cfg, code, params=ck.params, infer_only=True)
+    except ValueError as exc:
+        raise ConfigError(f"cannot decode {code.name}: {exc}") from exc
 
 
 @main.command("eval")
@@ -270,10 +273,10 @@ def _decoder_from_checkpoint(path: str, code):
 @click.option("--decoder", "decoder_kind", default=None,
               type=click.Choice(["bp", "uncoded"]), help="non-neural baseline")
 @click.option("--ebn0", default="4", help="comma-separated Eb/N0 list in dB")
-@click.option("--iters", type=click.IntRange(min=1), default=20, help="BP iterations")
-@click.option("--bp-algorithm", type=click.Choice(["sum_product", "min_sum"]), default="sum_product")
-@click.option("--min-errors", type=int, default=100)
-@click.option("--max-bits", type=int, default=10_000_000)
+@click.option("--iters", type=click.IntRange(min=1), default=BpConfig.max_iters, help="BP iterations")
+@click.option("--bp-algorithm", type=click.Choice(["sum_product", "min_sum"]), default=BpConfig.algorithm)
+@click.option("--min-errors", type=int, default=StopRule.min_errors)
+@click.option("--max-bits", type=int, default=StopRule.max_bits)
 @click.option("--policy", type=click.Choice(["random", "all_zero"]), default="random")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--bitwise/--no-bitwise", default=False, help="also write bitwise.csv")
@@ -333,8 +336,8 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
 @main.command("analyze")
 @click.option("--code", "code_name", default=None)
 @click.option("--pcm-file", default=None)
-@click.option("--n-layers", type=click.IntRange(min=1), default=6)
-@click.option("--dim", "embed_dim", type=click.IntRange(min=1), default=128)
+@click.option("--n-layers", type=click.IntRange(min=1), default=ModelConfig.n_layers)
+@click.option("--dim", "embed_dim", type=click.IntRange(min=1), default=ModelConfig.embed_dim)
 @click.option("--out", default=None)
 def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
     """Mask density / FLOPs comparison between the cross- and self-attention
@@ -402,17 +405,21 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
     if flip_bit is not None:
         if not 0 <= flip_bit < code.n:
             raise click.UsageError(f"--flip-bit {flip_bit} outside 0..{code.n - 1}")
-        x = np.zeros((1, code.n), dtype=np.uint8)
-        y = modulate(x)
+        x_s = modulate(np.zeros((1, code.n), dtype=np.uint8))
+        y = x_s.copy()
         y[0, flip_bit] *= -1.0
-        smp = _derive(decoder.code, x, y, np.array([np.inf])).row(0)
+        smp = _derive(decoder.code, x_s, y, np.array([np.inf])).row(0)
     else:
         try:
             spec = NoiseSpec.for_code(decoder.code, ebn0, seed=seed)
         except ValueError as exc:
             raise ConfigError(f"invalid --ebn0 {ebn0}: {exc}") from exc
         smp = sample(decoder.code, spec, policy="all_zero")
-    dumps = dump_attention(decoder, smp, layer_range)
+    try:
+        dumps = dump_attention(decoder, smp, layer_range)
+    except FloatingPointError as exc:
+        click.echo(f"numeric failure: {exc}", err=True)
+        sys.exit(3)
     out_path = _out_dir(out, f"attention_{code.name}")
     branches = len(decoder.code.pcms)
     artifacts = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -109,11 +110,7 @@ class Code:
         return replace(self, pcms=tuple(pcms))
 
 
-def _code_from_pcm(
-    h: BinaryMatrix,
-    name: str = "",
-    code_class: CodeClass = CodeClass.OTHER,
-) -> Code:
+def _code_from_pcm(h: BinaryMatrix, name: str, code_class: CodeClass = CodeClass.OTHER) -> Code:
     m, n = h.shape
     hrank = rank(h)
     if hrank < m:
@@ -123,7 +120,7 @@ def _code_from_pcm(
     if generator.rows != k:
         raise AssertionError(f"null space has {generator.rows} rows, expected k={k}")
     return Code(
-        name=name or f"{code_class.value}_{n}_{k}",
+        name=name,
         n=n,
         k=k,
         generator=generator,
@@ -266,9 +263,6 @@ _REGISTRY: dict[str, CodeClass] = {
     "ldpc_121_80": CodeClass.LDPC,
 }
 
-_cache: dict[str, Code] = {}
-
-
 def _registry_text(name: str) -> str:
     ref = resources.files("crossmpt").joinpath(f"data/{name}.txt")
     return ref.read_text()
@@ -278,14 +272,13 @@ def list_codes() -> list[str]:
     return list(_REGISTRY)
 
 
+@cache
 def get_code(name: str) -> Code:
-    """Fetch a bundled code by registry name (e.g. "bch_31_16")."""
+    """Fetch a bundled code by registry name (e.g. "bch_31_16"), built once
+    per process."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown code {name!r}; registry has {', '.join(_REGISTRY)}")
-    if name not in _cache:
-        h = parse_dense_text(_registry_text(name))
-        _cache[name] = _code_from_pcm(h, name=name, code_class=_REGISTRY[name])
-    return _cache[name]
+    return _code_from_pcm(parse_dense_text(_registry_text(name)), name, _REGISTRY[name])
 
 
 def registry_hash(name: str) -> str:

@@ -27,7 +27,7 @@ from .channel import BatchSample, ChannelSample, NoiseSpec, sample_batch
 from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
-from .models import FFN_EXPANSION, ModelConfig
+from .models import FFN_EXPANSION, ModelConfig, decide
 from .parallel import keep_freed_heap, one_blas_thread, submit
 
 __all__ = [
@@ -137,10 +137,11 @@ class BerReport:
                 )
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95 % Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
+    z = _Z95
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -396,10 +397,12 @@ def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | 
     models (one map per layer). Returns a list of dicts with the raw arrays,
     the 1-based `layer` and the 0-based ensemble `branch` (0 for a single
     model), branch by branch; layer_range selects the same layers of every
-    branch. Masked positions are exact zeros.
+    branch. Masked positions are exact zeros. Raises FloatingPointError when
+    the logits are not finite, as decoding does.
     """
     capture: list = []
-    model.logits(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
+    logits = model.logits(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
+    decide(sample.y[None, :], logits.data)  # raises on non-finite logits
     n_layers = model.cfg.n_layers
     lo, hi = layer_range if layer_range is not None else (1, n_layers)
     dumps = []

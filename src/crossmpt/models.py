@@ -385,7 +385,9 @@ class DecoderModel:
     """A config + code + parameter set; masks come from the code's graph.
 
     infer_only freezes the parameters into constants so forward passes build
-    no computation record (fast path for Monte-Carlo evaluation).
+    no computation record (fast path for Monte-Carlo evaluation). A
+    cross-attention model refuses a code with a bit in no parity check: the
+    mask over H^T leaves that bit's query nothing to attend to.
     """
 
     def __init__(
@@ -396,6 +398,12 @@ class DecoderModel:
         seed: int = 0,
         infer_only: bool = False,
     ):
+        unchecked = np.flatnonzero(~code.pcm.bits.any(axis=0))
+        if cfg.variant in (Variant.CROSSMPT, Variant.FCROSSMPT) and unchecked.size:
+            raise ValueError(
+                f"bit {unchecked[0]} of {code.name} is in no parity check, so "
+                f"{cfg.variant.value} cross-attention cannot decode it"
+            )
         self.cfg = cfg
         self.code = code
         self.params = params if params is not None else init_params(cfg, code, seed)

@@ -10,7 +10,10 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["AdamState", "adam_step", "cosine_lr", "clip_global_norm"]
+__all__ = ["CLIP_NORM", "AdamState", "adam_step", "cosine_lr", "clip_global_norm"]
+
+CLIP_NORM = 1.0  # global gradient-norm clip of every training step
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator offset
 
 
 @dataclass
@@ -30,34 +33,25 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update in place; parameters with grad None are skipped."""
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """One Adam update in place; every parameter must carry a gradient."""
     state.t += 1
     t = state.t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name in sorted(params):
         p = params[name]
-        if p.grad is None:
-            continue
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
-def cosine_lr(step: int, total: int, lr0: float = 1e-4, lr_min: float = 5e-7) -> float:
+def cosine_lr(step: int, total: int, lr0: float, lr_min: float) -> float:
     """Cosine interpolation from lr0 at step 0 down to lr_min at step `total`."""
     if total <= 0:
         raise ValueError("total steps must be positive")
@@ -66,8 +60,8 @@ def cosine_lr(step: int, total: int, lr0: float = 1e-4, lr_min: float = 5e-7) ->
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * step / total))
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Rescale all gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(params: dict[str, Tensor]) -> float:
+    """Rescale all gradients so their joint L2 norm is at most CLIP_NORM.
 
     Returns the pre-clip norm. Iteration order is fixed (sorted names) so the
     reduction is deterministic.
@@ -75,12 +69,10 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     for name in sorted(params):
         g = params[name].grad
-        if g is not None:
-            total += float((g * g).sum())
+        total += float((g * g).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
-        factor = max_norm / norm
+    if norm > CLIP_NORM:
+        factor = CLIP_NORM / norm
         for name in sorted(params):
-            if params[name].grad is not None:
-                params[name].grad = params[name].grad * factor
+            params[name].grad = params[name].grad * factor
     return norm

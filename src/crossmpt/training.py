@@ -20,12 +20,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .channel import NoiseSpec, sample_batch
+from .channel import NoiseSpec, sample_batch, stream_rng
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .codes import Code, get_code, list_codes
 from .ensemble import EnsembleConfig, build_ensemble, crossed_forward
 from .models import ModelConfig, Variant, forward_arrays, init_params
-from .optim import AdamState, adam_step, clip_global_norm, cosine_lr
+from .optim import CLIP_NORM, AdamState, adam_step, clip_global_norm, cosine_lr
 from .parallel import keep_freed_heap, map_slices, one_blas_thread, row_slices
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 _TAG_DATA = 1
 _TAG_CODESEL = 2
 
-_CLIP_NORM = 1.0  # global gradient-norm clip of every step
 _HALVES = 2  # row groups of every step; a batch of one row is one group
 
 # per-epoch gradient-norm columns of training_log.csv, kept in checkpoints
@@ -66,7 +65,7 @@ class TrainConfig:
     Every code must be in the registry, and multi-code training requires a
     code-agnostic variant. Layers are pre-norm, Eb/N0 is drawn per sample, a
     mixture draws its code for each batch uniformly, and every step clips the
-    global gradient norm to 1.
+    global gradient norm to `CLIP_NORM`.
     """
 
     codes: tuple[str, ...] = ("bch_15_7",)
@@ -209,8 +208,7 @@ def _step_gradients(params: dict[str, Tensor], lane: _Lane, batch) -> float:
 def _select_lane(lanes: list[_Lane], cfg: TrainConfig, epoch: int, batch: int) -> _Lane:
     if len(lanes) == 1:
         return lanes[0]
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_CODESEL, epoch, batch]))
-    return lanes[rng.integers(len(lanes))]
+    return lanes[stream_rng(cfg.seed, _TAG_CODESEL, epoch, batch).integers(len(lanes))]
 
 
 def _validate_resume(stored: dict, cfg: TrainConfig) -> None:
@@ -315,7 +313,7 @@ def train(
                     f"non-finite loss {value} at epoch {epoch} batch {b} "
                     f"(code {lane.name}, lr {lr:.3e})"
                 )
-            grad_norm = clip_global_norm(params, _CLIP_NORM)
+            grad_norm = clip_global_norm(params)
             if not np.isfinite(grad_norm):
                 raise NumericFailure(
                     f"non-finite gradient norm {grad_norm} at epoch {epoch} batch {b} "
@@ -327,7 +325,7 @@ def train(
         report.epoch_losses.append(float(np.mean(batch_losses)))
         report.grad_norm_mean.append(float(np.mean(norms)))
         report.grad_norm_max.append(max(norms))
-        report.clip_frac.append(sum(n > _CLIP_NORM for n in norms) / len(norms))
+        report.clip_frac.append(sum(n > CLIP_NORM for n in norms) / len(norms))
         done = epoch + 1
         stop = interrupt_after is not None and interrupt_after <= done < cfg.epochs
         if stop or (cfg.checkpoint_every and done % cfg.checkpoint_every == 0 and done < cfg.epochs):

@@ -380,6 +380,17 @@ class TestDumpAttentionCommand:
         assert arr.shape == (32, 16)
         assert len(list(out.glob("layer*.csv"))) == 4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # infinite magnitudes: NaN in layer norm
+    def test_non_finite_logits_exit_3(self, runner, tmp_path, tiny_checkpoint):
+        out = tmp_path / "noise"
+        result = runner.invoke(main, [
+            "dump-attention", "--checkpoint", str(tiny_checkpoint), "--code", "bch_15_7",
+            "--ebn0", "-inf", "--out", str(out),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "numeric failure" in result.output
+        assert not out.exists()
+
     def test_flip_position_out_of_range(self, runner, tmp_path, tiny_checkpoint):
         result = runner.invoke(main, [
             "dump-attention", "--checkpoint", str(tiny_checkpoint), "--code", "ldpc_32_16",
@@ -578,6 +589,22 @@ class TestConfigurationErrorsExit2:
         monkeypatch.setattr(pathlib.Path, "mkdir", denied)
         result = runner.invoke(main, ["analyze", "--code", "hamming_7_4", "--out", str(tmp_path / "out")])
         self.assert_config_error(result, "Permission denied")
+
+    def test_eval_unseen_code_with_a_bit_in_no_check_is_refused_before_sampling(
+        self, runner, tmp_path, tiny_checkpoint, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before the code was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        bits = np.array([[1, 1, 0, 1, 1, 0, 0, 0], [0, 1, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 1, 0]])
+        pcm_file = tmp_path / "zero_column.txt"
+        pcm_file.write_text(dense_text_dumps(BinaryMatrix(bits)))
+        result = runner.invoke(main, [
+            "eval", "--pcm-file", str(pcm_file), "--checkpoint", str(tiny_checkpoint),
+            "--ebn0", "4", "--out", str(tmp_path / "out"),
+        ])
+        self.assert_config_error(result, "bit 7 of zero_column is in no parity check")
 
     def test_eval_bp_at_infinite_ebn0(self, runner, tmp_path):
         with warnings.catch_warnings(record=True) as caught:

@@ -451,7 +451,7 @@ class TestCodewordInvarianceOnRandomCodes:
     @given(pcm=full_rank_pcms(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_logits_equal_for_two_codewords_under_one_noise_pattern(self, pcm, seed):
-        code = _code_from_pcm(pcm)
+        code = _code_from_pcm(pcm, "toy")
         rng = np.random.default_rng(seed)
         base = sample(code, NoiseSpec.for_code(code, 2.0, seed=seed), policy="random")
         other = make_invariance_pair(code, base, code.encode(rng.integers(0, 2, size=code.k)))

@@ -118,12 +118,12 @@ class TestTrainLoop:
         real_clip = training.clip_global_norm
         calls = []
 
-        def poisoned_clip(params, max_norm):
-            calls.append(max_norm)
+        def poisoned_clip(params):
+            calls.append(params)
             if len(calls) == 3:  # epoch 0, batch 2: the loss of this step is finite
                 name = sorted(params)[0]
                 params[name].grad = np.full_like(params[name].grad, np.inf)
-            return real_clip(params, max_norm)
+            return real_clip(params)
 
         monkeypatch.setattr(training, "clip_global_norm", poisoned_clip)
         cfg = TrainConfig(codes=("hamming_7_4",), variant="crossmpt", n_layers=1, embed_dim=8,
@@ -354,8 +354,8 @@ class TestNormColumns:
         real_clip = training.clip_global_norm
         norms = []
 
-        def spy_clip(params, max_norm):
-            norms.append(real_clip(params, max_norm))
+        def spy_clip(params):
+            norms.append(real_clip(params))
             return norms[-1]
 
         monkeypatch.setattr(training, "clip_global_norm", spy_clip)
