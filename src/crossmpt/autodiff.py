@@ -34,7 +34,6 @@ not allocate itself; it may work in place on temporaries it allocated.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "Tensor",
@@ -442,7 +441,11 @@ def gelu(t: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x). scipy's `ndtr` computes Phi in x's dtype, to
     full relative precision in the negative tail, and is the floor of the
     cost; the rest of the arithmetic runs in place on arrays allocated here.
-    The constants take x's dtype, so float32 stays float32."""
+    The constants take x's dtype, so float32 stays float32. scipy.special
+    is imported here, at the first GELU, so that a process that runs no
+    neural forward (BP or uncoded evaluation, `analyze`) never loads it."""
+    from scipy.special import ndtr
+
     x = t.data
     cdf = ndtr(x)
     out_data = x * cdf

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf2 import mod2_product
 from .masks import TannerGraph
 
 __all__ = ["TannerGraph", "BpConfig", "bp_decode", "bp_decode_batch"]
@@ -32,31 +33,74 @@ class BpConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-def _excl_prod(t: np.ndarray) -> np.ndarray:
-    """Product over axis 1 excluding each position (prefix * suffix).
+def _exclusive(op, t: np.ndarray, identity: float, out: np.ndarray) -> np.ndarray:
+    """op over axis 0 of t excluding each position, into out.
 
-    The prefix and suffix products multiply in the order of a cumulative
-    product, one slice of the short slot axis at a time.
+    A prefix pass and then a running suffix, one (m, B) slot at a time, in
+    the order of a cumulative product or minimum along the slot axis.
     """
-    d = t.shape[1]
-    pre = np.empty_like(t)
-    suf = np.empty_like(t)
-    pre[:, :1] = 1.0
-    suf[:, -1:] = 1.0
+    d = len(t)
+    if d:
+        out[0] = identity
     for j in range(1, d):
-        np.multiply(pre[:, j - 1], t[:, j - 1], out=pre[:, j])
-        np.multiply(suf[:, d - j], t[:, d - j], out=suf[:, d - j - 1])
-    pre *= suf
-    return pre
+        op(out[j - 1], t[j - 1], out=out[j])
+    if d > 1:
+        suffix = t[d - 1].copy()
+        for j in range(d - 2, -1, -1):
+            op(out[j], suffix, out=out[j])
+            if j:
+                op(suffix, t[j], out=suffix)
+    return out
 
 
-def _excl_min(t: np.ndarray) -> np.ndarray:
-    """Min over axis 1 excluding each position."""
-    pre = np.full_like(t, np.inf)
-    np.minimum.accumulate(t[:, :-1], axis=1, out=pre[:, 1:])
-    suf = np.full_like(t, np.inf)
-    np.minimum.accumulate(t[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    return np.minimum(pre, suf)
+def _slot_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of t, adding the slots in the order numpy's pairwise
+    sum adds a contiguous last axis of the same length: one by one below 8,
+    then 8 running partial sums and the remainder, halved above 128."""
+    d = len(t)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _slot_sum(t[:half]) + _slot_sum(t[half:])
+    if d < 8:
+        total = np.zeros(t.shape[1:])
+        for x in t:
+            total += x
+        return total
+    r = t[:8].copy()
+    tail = d - d % 8
+    for i in range(8, tail, 8):
+        r += t[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in t[tail:]:
+        total += x
+    return total
+
+
+def _check_update(v2c: np.ndarray, pad: np.ndarray, algorithm: str) -> np.ndarray:
+    """Check-to-variable messages from the (d_c, m, B) variable-to-check
+    messages, which are overwritten, as (d_c*m + 1, B) rows whose last row is
+    zero. Padded slots are neutral: factor 1, and minimum +inf."""
+    dc, m, batch = v2c.shape
+    c2v = np.empty((dc * m + 1, batch))
+    c2v[-1] = 0.0
+    msgs = c2v[:-1].reshape(v2c.shape)
+    if algorithm == "sum_product":
+        t = np.multiply(v2c, 0.5, out=v2c)
+        np.tanh(t, out=t)
+        np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
+        t[pad] = 1.0
+        _exclusive(np.multiply, t, 1.0, msgs)
+        np.clip(msgs, -_TANH_CLIP, _TANH_CLIP, out=msgs)
+        np.arctanh(msgs, out=msgs)
+        np.multiply(msgs, 2.0, out=msgs)
+    else:
+        signs = np.where(v2c < 0, -1.0, 1.0)
+        signs[pad] = 1.0
+        mags = np.abs(v2c, out=v2c)
+        mags[pad] = np.inf
+        sign_prod = _exclusive(np.multiply, signs, 1.0, np.empty_like(signs))
+        np.multiply(sign_prod, _exclusive(np.minimum, mags, np.inf, msgs), out=msgs)
+    return c2v
 
 
 def bp_decode_batch(
@@ -67,65 +111,50 @@ def bp_decode_batch(
     """Decode a (B, n) batch of LLR vectors.
 
     Returns (hard decisions (B, n), iterations used (B,), converged (B,)).
-    A frame's output is frozen at its first zero-syndrome iteration and the
-    frame leaves the working arrays; rows never interact, so every remaining
-    frame sees the same arithmetic as in a full batch. A frame that never
-    reaches a zero syndrome keeps its last decision after max_iters.
+    The working arrays hold frames last and slots first: LLRs and posteriors
+    (n, B), variable-to-check messages (d_c, m, B) in the graph's check-slot
+    layout, and check-to-variable messages (d_c*m + 1, B), whose last row is
+    the zero that padded variable slots read. A frame's output is frozen at
+    its first zero-syndrome iteration and its column leaves the working
+    arrays; columns never interact, so every remaining frame sees the same
+    arithmetic as in a full batch. A frame that never reaches a zero
+    syndrome keeps its last decision after max_iters.
     """
     llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
     if not np.isfinite(llr).all():
         raise ValueError("LLR values must be finite")
     batch = llr.shape[0]
-    v2c = llr[:, graph.var_of_edge]
     out = np.zeros((batch, graph.n), dtype=np.uint8)
     iters = np.full(batch, cfg.max_iters, dtype=np.int64)
     converged = np.zeros(batch, dtype=bool)
-    active = np.arange(batch)  # batch rows of the working arrays
-
-    cn_e, cn_pad = graph._cn_edges, graph._cn_pad
-    vn_e, vn_pad = graph._vn_edges, graph._vn_pad
+    active = np.arange(batch)  # batch rows of the working columns
+    llr = np.ascontiguousarray(llr.T)
+    v2c = llr[graph.var_of_slot]
+    h = graph.ht.T
 
     for it in range(1, cfg.max_iters + 1):
-        # check-node update (extrinsic over each check's edges)
-        gathered = v2c[:, cn_e]
-        if cfg.algorithm == "sum_product":
-            # in place on the gathered and product arrays, same operations
-            t = np.multiply(gathered, 0.5, out=gathered)
-            np.tanh(t, out=t)
-            np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t)
-            t[:, cn_pad] = 1.0
-            msgs = _excl_prod(t)
-            np.clip(msgs, -_TANH_CLIP, _TANH_CLIP, out=msgs)
-            np.arctanh(msgs, out=msgs)
-            np.multiply(msgs, 2.0, out=msgs)
-        else:
-            signs = np.where(gathered < 0, -1.0, 1.0)
-            signs[:, cn_pad] = 1.0
-            mags = np.abs(gathered)
-            mags[:, cn_pad] = np.inf
-            msgs = _excl_prod(signs) * _excl_min(mags)
-        c2v = msgs.reshape(len(msgs), -1)[:, graph._cn_slot]
-
-        # variable-node update and posterior
-        incoming = c2v[:, vn_e]
-        incoming[:, vn_pad] = 0.0
-        posterior = incoming.sum(axis=-1)
+        c2v = _check_update(v2c, graph.check_pad, cfg.algorithm)
+        posterior = _slot_sum(c2v[graph.var_slot_rows])
         posterior += llr
         hd = (posterior < 0).astype(np.uint8)
-        zero_syn = ~graph.syndrome(hd).any(axis=-1)
+        zero_syn = ~mod2_product(h, hd).any(axis=0)
         if zero_syn.any():
             rows = active[zero_syn]
-            out[rows] = hd[zero_syn]
+            out[rows] = hd.compress(zero_syn, axis=1).T
             iters[rows] = it
             converged[rows] = True
             keep = ~zero_syn
-            active = active[keep]
-            llr, posterior, c2v, hd = llr[keep], posterior[keep], c2v[keep], hd[keep]
+            active, hd = active[keep], hd.compress(keep, axis=1)
             if not active.size:
                 break
-        v2c = posterior[:, graph.var_of_edge]
-        v2c -= c2v
-    out[active] = hd
+            # compress copies the columns of a 512-frame chunk about 3x faster
+            # than a boolean index does
+            llr, posterior, c2v = (x.compress(keep, axis=1) for x in (llr, posterior, c2v))
+        if it == cfg.max_iters:
+            break
+        v2c = posterior[graph.var_of_slot]
+        v2c -= c2v[:-1].reshape(v2c.shape)
+    out[active] = hd.T
     return out, iters, converged
 
 

@@ -412,6 +412,7 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
     else:
         try:
             spec = NoiseSpec.for_code(decoder.code, ebn0, seed=seed)
+            decoder.check_ebn0(ebn0)
         except ValueError as exc:
             raise ConfigError(f"invalid --ebn0 {ebn0}: {exc}") from exc
         smp = sample(decoder.code, spec, policy="all_zero")

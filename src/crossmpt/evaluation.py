@@ -14,13 +14,13 @@ import csv
 import functools
 import itertools
 import logging
+import math
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .bp import BpConfig, bp_decode_batch
 from .channel import BatchSample, ChannelSample, NoiseSpec, sample_batch
@@ -153,7 +153,7 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 def uncoded_bpsk_ber(ebn0_db: float, rate: float) -> float:
     """Closed-form hard-decision BPSK bit error rate, Q(sqrt(2 R 10^(x/10)))."""
-    return 0.5 * erfc(np.sqrt(rate * 10.0 ** (ebn0_db / 10.0)))
+    return 0.5 * math.erfc(math.sqrt(rate * 10.0 ** (ebn0_db / 10.0)))
 
 
 class IdentityDecoder:
@@ -175,11 +175,17 @@ class BpDecoder:
         self.name = f"bp_{cfg.algorithm}_{cfg.max_iters}"
         self.totals = np.zeros(3, dtype=np.int64)  # frames, BP iterations, converged frames
 
-    def llr(self, batch: BatchSample) -> np.ndarray:
-        ebn0 = np.atleast_1d(batch.ebn0_db)
+    @staticmethod
+    def check_ebn0(ebn0_db) -> None:
+        """Raise ValueError unless every Eb/N0 (dB) is finite."""
+        ebn0 = np.atleast_1d(ebn0_db)
         if not np.isfinite(ebn0).all():
             bad = ebn0[~np.isfinite(ebn0)][0]
             raise ValueError(f"BP needs a finite Eb/N0, got {bad} dB (its LLRs 2y/sigma^2 are not finite)")
+
+    def llr(self, batch: BatchSample) -> np.ndarray:
+        ebn0 = np.atleast_1d(batch.ebn0_db)
+        self.check_ebn0(ebn0)
         sigma2 = 1.0 / (2.0 * self.rate * 10.0 ** (ebn0 / 10.0))
         return 2.0 * batch.y / sigma2[:, None]
 
@@ -255,11 +261,15 @@ def estimate_ber(
     decodes, and neural decoders split each chunk's rows over the cores;
     OpenBLAS runs on one thread for the duration of the call. Logs one line
     per finished point (for BP, with its iterations) to `crossmpt.evaluation`
-    at INFO. Raises ValueError, before any sampling, on a bad Eb/N0 list.
+    at INFO. Raises ValueError, before any sampling, on a bad Eb/N0 list or
+    on a point the decoder's `check_ebn0`, where it has one, refuses.
     """
     if not ebn0_list:
         raise ValueError("the Eb/N0 list is empty: no point to evaluate")
     specs = [NoiseSpec.for_code(code, ebn0, seed=seed) for ebn0 in ebn0_list]
+    if hasattr(decoder, "check_ebn0"):
+        for ebn0 in ebn0_list:
+            decoder.check_ebn0(ebn0)
     keep_freed_heap()
     report = BerReport(code_name=code.name, decoder_name=getattr(decoder, "name", "decoder"))
     for si, (ebn0, spec) in enumerate(zip(ebn0_list, specs)):

@@ -3,7 +3,7 @@ structure.
 
 `tanner_graph(h)` is the only place a graph is built, and it builds each
 distinct PCM's graph once per process. The graph holds the edge list and the
-padded per-node tables that belief propagation reads, H^T as reals for the
+slot-major tables that belief propagation reads, H^T as reals for the
 syndrome products and the foundation head, and the additive attention masks,
 each built on first use.
 
@@ -62,7 +62,7 @@ class MaskMatrix:
 
 
 class TannerGraph:
-    """Bipartite adjacency of a PCM: padded edge-index tables for vectorized
+    """Bipartite adjacency of a PCM: padded slot tables for vectorized
     message passing, H^T as reals, and the attention masks built on demand.
     Get one through `tanner_graph(h)`."""
 
@@ -77,13 +77,21 @@ class TannerGraph:
         self.check_of_edge = checks.astype(np.int64)
         self.var_of_edge = vars_.astype(np.int64)
         self.n_edges = len(checks)
-        # check tables are slot-major, (dmax, m), so that the extrinsic
-        # products and minima run over one whole (B, m) slot at a time
-        self._cn_edges, self._cn_pad = (t.T.copy() for t in _padded_groups(self.check_of_edge, self.m))
-        # flat slot-major position of each edge, to gather check messages
-        self._cn_slot = np.empty(self.n_edges, dtype=np.int64)
-        self._cn_slot[self._cn_edges[~self._cn_pad]] = np.flatnonzero(~self._cn_pad)
-        self._vn_edges, self._vn_pad = _padded_groups(self.var_of_edge, self.n)
+        # belief propagation's tables, slot-major so that every step reads
+        # whole (m, B) or (n, B) slices of frames-last arrays. Check slot
+        # (j, c) is the j-th edge of check c and row j*m + c of the
+        # check-to-variable messages; var_of_slot names its variable, and
+        # check_pad marks the slots past the check's degree. Variable slot
+        # (j, v) is the message row of the j-th edge of v, or the all-zero
+        # last row d_c*m where v has fewer edges.
+        cn_edges, self.check_pad = (t.T.copy() for t in _padded_groups(self.check_of_edge, self.m))
+        self.var_of_slot = self.var_of_edge[cn_edges]
+        row_of_edge = np.empty(self.n_edges, dtype=np.int64)
+        row_of_edge[cn_edges[~self.check_pad]] = np.flatnonzero(~self.check_pad)
+        vn_edges, vn_pad = _padded_groups(self.var_of_edge, self.n)
+        self.var_slot_rows = np.where(vn_pad, self.check_pad.size, row_of_edge[vn_edges]).T.copy()
+        for table in (self.check_pad, self.var_of_slot, self.var_slot_rows):
+            table.setflags(write=False)
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """H @ bits mod 2, batched over leading axes."""

@@ -410,6 +410,13 @@ class DecoderModel:
         if infer_only:
             self.params = freeze(self.params)
 
+    @staticmethod
+    def check_ebn0(ebn0_db: float) -> None:
+        """Raise ValueError at -inf dB, where every magnitude |y| is infinite
+        and layer norm's mean is not finite."""
+        if ebn0_db == -np.inf:
+            raise ValueError("a neural decoder needs Eb/N0 above -inf dB (its magnitudes |y| are infinite there)")
+
     def logits(self, mag: np.ndarray, syndromes: Sequence[np.ndarray], capture=None) -> Tensor:
         """Logits from the magnitudes and one syndrome array per PCM of the code;
         a code-agnostic model runs one weight-shared tower per PCM."""

@@ -380,12 +380,15 @@ class TestDumpAttentionCommand:
         assert arr.shape == (32, 16)
         assert len(list(out.glob("layer*.csv"))) == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # infinite magnitudes: NaN in layer norm
     def test_non_finite_logits_exit_3(self, runner, tmp_path, tiny_checkpoint):
+        data = dict(np.load(tiny_checkpoint, allow_pickle=False))
+        data["param:head.fc.b"] = np.full_like(data["param:head.fc.b"], np.nan)
+        poisoned = tmp_path / "nan.npz"
+        np.savez(poisoned, **data)
         out = tmp_path / "noise"
         result = runner.invoke(main, [
-            "dump-attention", "--checkpoint", str(tiny_checkpoint), "--code", "bch_15_7",
-            "--ebn0", "-inf", "--out", str(out),
+            "dump-attention", "--checkpoint", str(poisoned), "--code", "bch_15_7",
+            "--ebn0", "4", "--out", str(out),
         ])
         assert result.exit_code == 3, result.output
         assert "numeric failure" in result.output
@@ -615,6 +618,49 @@ class TestConfigurationErrorsExit2:
             ])
         self.assert_config_error(result, "BP needs a finite Eb/N0, got inf dB")
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    @pytest.mark.parametrize("points", ["3,inf", "3,-inf", "-inf"])
+    def test_eval_bp_refuses_an_infinite_point_before_decoding_any(
+        self, runner, tmp_path, monkeypatch, points
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before the Eb/N0 list was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "eval", "--code", "hamming_7_4", "--decoder", "bp", "--ebn0", points, "--out", str(out),
+        ])
+        self.assert_config_error(result, "BP needs a finite Eb/N0")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "dump-attention"])
+    def test_neural_decoder_refuses_minus_inf_before_sampling(
+        self, runner, tmp_path, tiny_checkpoint, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before the Eb/N0 was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        out = tmp_path / "out"
+        ebn0 = "3,-inf" if command == "eval" else "-inf"
+        result = runner.invoke(main, [
+            command, "--checkpoint", str(tiny_checkpoint), "--code", "bch_15_7", "--ebn0", ebn0,
+            "--out", str(out),
+        ])
+        self.assert_config_error(result, "a neural decoder needs Eb/N0 above -inf dB")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_neural_decoder_evaluates_the_noiseless_limit(self, runner, tmp_path, tiny_checkpoint):
+        out = tmp_path / "out"
+        result = invoke(
+            runner, "eval", "--checkpoint", tiny_checkpoint, "--code", "bch_15_7", "--ebn0", "inf",
+            "--max-bits", 1500, "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / "ber_report.csv").read_text().splitlines()[1].startswith("inf,")
 
     def test_dump_attention_nan_ebn0(self, runner, tmp_path, tiny_checkpoint):
         result = runner.invoke(main, [

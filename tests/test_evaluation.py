@@ -1,12 +1,16 @@
 import logging
+import os
 import platform
 import resource
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 from scipy.stats import chi2
 
 from crossmpt import evaluation, parallel
@@ -225,6 +229,24 @@ class TestEstimateBer:
             assert line.endswith(f", BP {iters / frames:.2f} iterations per frame, "
                                  f"{converged / frames:.1%} converged"), line
 
+    @pytest.mark.parametrize("decoder", ["bp", "crossmpt"])
+    def test_a_point_the_decoder_cannot_evaluate_is_refused_before_any_sampling(
+        self, monkeypatch, decoder
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chunk was sampled before the Eb/N0 list was checked")
+
+        monkeypatch.setattr(evaluation, "sample_batch", refuse)
+        code = get_code("hamming_7_4")
+        if decoder == "bp":
+            dec, bad = BpDecoder(code, BpConfig()), [float("inf"), float("-inf")]
+        else:
+            cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=1, embed_dim=8)
+            dec, bad = DecoderModel(cfg, code, infer_only=True), [float("-inf")]
+        for ebn0 in bad:
+            with pytest.raises(ValueError, match="Eb/N0"):
+                estimate_ber(dec, code, [3.0, ebn0], StopRule(min_errors=10, max_bits=7_000))
+
     def test_bp_beats_uncoded_at_4db(self):
         code = get_code("ldpc_121_80")
         dec = BpDecoder(code, BpConfig(max_iters=20))
@@ -276,6 +298,32 @@ def serial_ber(decoder, code, ebn0_list, stop, seed, chunk_frames):
             k += 1
         rows.append(row)
     return rows
+
+
+class TestUncodedBer:
+    def test_closed_form_matches_scipy_erfc(self):
+        for ebn0 in np.linspace(-20.0, 16.0, 145):
+            for rate in np.linspace(0.05, 1.0, 20):
+                ref = 0.5 * erfc(np.sqrt(rate * 10.0 ** (ebn0 / 10.0)))
+                assert uncoded_bpsk_ber(float(ebn0), float(rate)) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_bp_evaluation_does_not_load_scipy_special(self):
+        # scipy.special (about 25 MB) is loaded by the first GELU only
+        script = (
+            "import sys\n"
+            "from crossmpt.bp import BpConfig\n"
+            "from crossmpt.codes import get_code\n"
+            "from crossmpt.evaluation import BpDecoder, StopRule, estimate_ber\n"
+            "code = get_code('ldpc_121_80')\n"
+            "report = estimate_ber(BpDecoder(code, BpConfig()), code, [3.0, 4.0], StopRule(20))\n"
+            "assert report.rows[-1].bit_errors >= 20\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert done.stdout.strip() == "False", done.stderr
 
 
 class TestSampleAhead:
