@@ -9,7 +9,7 @@ from .gf2 import BinaryMatrix
 from .models import DecoderModel, ModelConfig, Variant, decide, param_count
 from .ensemble import CrossEDModel, EnsembleConfig, build_ensemble
 from .bp import BpConfig, TannerGraph, bp_decode
-from .channel import ChannelSample, NoiseSpec, modulate, sample
+from .channel import NoiseSpec, modulate, sample
 from .training import TrainConfig, train
 from .evaluation import BerReport, StopRule, estimate_ber
 
@@ -19,7 +19,7 @@ __all__ = [
     "DecoderModel", "ModelConfig", "Variant", "decide", "param_count",
     "CrossEDModel", "EnsembleConfig", "build_ensemble",
     "BpConfig", "TannerGraph", "bp_decode",
-    "ChannelSample", "NoiseSpec", "modulate", "sample",
+    "NoiseSpec", "modulate", "sample",
     "TrainConfig", "train",
     "BerReport", "StopRule", "estimate_ber",
 ]

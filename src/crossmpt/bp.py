@@ -19,6 +19,9 @@ from .masks import TannerGraph
 __all__ = ["TannerGraph", "BpConfig", "bp_decode", "bp_decode_batch"]
 
 _TANH_CLIP = 1.0 - 1e-12
+# min-sum's identity, for padded slots and empty exclusive minima: finite, so
+# that a check of degree one asserts its bit is 0 without an inf - inf later
+_SATURATED = 1e300
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def _slot_sum(t: np.ndarray) -> np.ndarray:
 def _check_update(v2c: np.ndarray, pad: np.ndarray, algorithm: str) -> np.ndarray:
     """Check-to-variable messages from the (d_c, m, B) variable-to-check
     messages, which are overwritten, as (d_c*m + 1, B) rows whose last row is
-    zero. Padded slots are neutral: factor 1, and minimum +inf."""
+    zero. Padded slots are neutral: factor 1, and minimum _SATURATED."""
     dc, m, batch = v2c.shape
     c2v = np.empty((dc * m + 1, batch))
     c2v[-1] = 0.0
@@ -97,9 +100,9 @@ def _check_update(v2c: np.ndarray, pad: np.ndarray, algorithm: str) -> np.ndarra
         signs = np.where(v2c < 0, -1.0, 1.0)
         signs[pad] = 1.0
         mags = np.abs(v2c, out=v2c)
-        mags[pad] = np.inf
+        mags[pad] = _SATURATED
         sign_prod = _exclusive(np.multiply, signs, 1.0, np.empty_like(signs))
-        np.multiply(sign_prod, _exclusive(np.minimum, mags, np.inf, msgs), out=msgs)
+        np.multiply(sign_prod, _exclusive(np.minimum, mags, _SATURATED, msgs), out=msgs)
     return c2v
 
 

@@ -17,7 +17,6 @@ from .masks import tanner_graph
 
 __all__ = [
     "NoiseSpec",
-    "ChannelSample",
     "BatchSample",
     "modulate",
     "hard_decision",
@@ -78,43 +77,29 @@ class NoiseSpec:
 
 
 @dataclass(frozen=True)
-class ChannelSample:
-    """One simulated transmission with every preprocessed view attached.
+class BatchSample:
+    """Transmissions stacked by row, with every preprocessed view attached.
 
-    syndromes holds one bit vector per PCM of the code used for sampling;
-    target is the binarized multiplicative noise, the training label.
+    Row b is frame b; `row(b)` is that frame alone, the same record without
+    the batch axis. syndromes holds one bit array per PCM of the code used
+    for sampling; target is the binarized multiplicative noise, the training
+    label.
     """
 
     x: np.ndarray
-    x_s: np.ndarray
     y: np.ndarray
     y_b: np.ndarray
     mag: np.ndarray
     syndromes: tuple[np.ndarray, ...]
     target: np.ndarray
-    ebn0_db: float
-
-
-@dataclass(frozen=True)
-class BatchSample:
-    """Column-stacked batch of channel samples (row b is sample b)."""
-
-    x: np.ndarray
-    x_s: np.ndarray
-    y: np.ndarray
-    y_b: np.ndarray
-    mag: np.ndarray
-    syndromes: tuple[np.ndarray, ...]
-    target: np.ndarray
-    ebn0_db: np.ndarray
+    ebn0_db: np.ndarray | float
 
     def __len__(self) -> int:
-        return self.y.shape[0]
+        return len(self.ebn0_db)  # a row's float Eb/N0 has no length
 
-    def row(self, b: int) -> ChannelSample:
-        return ChannelSample(
+    def row(self, b: int) -> BatchSample:
+        return BatchSample(
             x=self.x[b],
-            x_s=self.x_s[b],
             y=self.y[b],
             y_b=self.y_b[b],
             mag=self.mag[b],
@@ -137,7 +122,6 @@ def _derive(code: Code, x_s: np.ndarray, y: np.ndarray, ebn0: np.ndarray) -> Bat
     target = hard_decision(y * x_s)
     return BatchSample(
         x=x,
-        x_s=x_s,
         y=y,
         y_b=y_b,
         mag=mag,
@@ -185,16 +169,16 @@ def sample(
     spec: NoiseSpec,
     policy: str = "all_zero",
     index: int = 0,
-) -> ChannelSample:
-    """One transmission; pure function of (spec.seed, index)."""
+) -> BatchSample:
+    """One transmission, as a row; pure function of (spec.seed, index)."""
     return sample_batch(code, spec, 1, policy=policy, stream=(index,)).row(0)
 
 
-def make_invariance_pair(code: Code, noise_pattern: ChannelSample, new_codeword: np.ndarray) -> ChannelSample:
+def make_invariance_pair(code: Code, noise_pattern: BatchSample, new_codeword: np.ndarray) -> BatchSample:
     """Re-transmit `new_codeword` under the multiplicative noise of an existing
-    sample.
+    row.
 
-    The returned sample has entry-identical magnitude and syndromes, which is
+    The returned row has entry-identical magnitude and syndromes, which is
     the preprocessing property that makes all-zero-codeword training valid.
     Raises ValueError when new_codeword is not in the code.
     """
@@ -203,7 +187,7 @@ def make_invariance_pair(code: Code, noise_pattern: ChannelSample, new_codeword:
         raise ValueError(f"codeword length {new_codeword.shape} != n={code.n}")
     if not code.contains(new_codeword):
         raise ValueError("word fails the parity-check membership test")
-    mult_noise = noise_pattern.y * noise_pattern.x_s  # x_s is +-1
+    mult_noise = noise_pattern.y * modulate(noise_pattern.x)
     x_s = modulate(new_codeword)[None, :]
     batch = _derive(code, x_s, x_s * mult_noise, np.array([noise_pattern.ebn0_db]))
     return batch.row(0)

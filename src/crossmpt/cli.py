@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bp import BpConfig
-from .channel import NoiseSpec, _derive, modulate, sample
+from .channel import NoiseSpec, _derive, modulate, sample_batch
 from .checkpoint import CheckpointError, load_checkpoint
 from .codes import get_code, list_codes, load_code, registry_hash
 from .ensemble import CrossEDModel, EnsembleConfig, build_ensemble, coverage_report
@@ -408,16 +408,16 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
         x_s = modulate(np.zeros((1, code.n), dtype=np.uint8))
         y = x_s.copy()
         y[0, flip_bit] *= -1.0
-        smp = _derive(decoder.code, x_s, y, np.array([np.inf])).row(0)
+        batch = _derive(decoder.code, x_s, y, np.array([np.inf]))
     else:
         try:
             spec = NoiseSpec.for_code(decoder.code, ebn0, seed=seed)
             decoder.check_ebn0(ebn0)
         except ValueError as exc:
             raise ConfigError(f"invalid --ebn0 {ebn0}: {exc}") from exc
-        smp = sample(decoder.code, spec, policy="all_zero")
+        batch = sample_batch(decoder.code, spec, 1)
     try:
-        dumps = dump_attention(decoder, smp, layer_range)
+        dumps = dump_attention(decoder, batch, layer_range)
     except FloatingPointError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)

@@ -83,7 +83,6 @@ def crossed_forward(
     ens: EnsembleConfig,
     mag: np.ndarray,
     syndromes: list[np.ndarray],
-    capture: list | None = None,
 ) -> Tensor:
     """Logits from p parallel towers with shared weights and addition fusion.
 
@@ -91,7 +90,7 @@ def crossed_forward(
     reduced in a canonical branch order, so logits are exactly invariant to
     permutations of the branch list.
     """
-    return foundation_logits(params, ens.base, ens.pcms, mag, syndromes, capture)
+    return foundation_logits(params, ens.base, ens.pcms, mag, syndromes)
 
 
 class CrossEDModel(DecoderModel):

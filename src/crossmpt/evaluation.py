@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bp import BpConfig, bp_decode_batch
-from .channel import BatchSample, ChannelSample, NoiseSpec, sample_batch
+from .channel import BatchSample, NoiseSpec, sample_batch
 from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
@@ -400,8 +400,9 @@ def density_check(code: Code) -> dict | None:
 # attention dumps and per-position tables
 
 
-def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | None = None):
-    """Per-layer attention score matrices and their vertical (per-column) sums.
+def dump_attention(model, batch: BatchSample, layer_range: tuple[int, int] | None = None):
+    """Per-layer attention score matrices and their vertical (per-column) sums
+    for the one frame of a one-row batch.
 
     Works for cross-attention models (two maps per layer) and self-attention
     models (one map per layer). Returns a list of dicts with the raw arrays,
@@ -411,8 +412,8 @@ def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | 
     the logits are not finite, as decoding does.
     """
     capture: list = []
-    logits = model.logits(sample.mag[None, :], [s[None, :] for s in sample.syndromes], capture)
-    decide(sample.y[None, :], logits.data)  # raises on non-finite logits
+    logits = model.logits(batch.mag, batch.syndromes, capture)
+    decide(batch.y, logits.data)  # raises on non-finite logits
     n_layers = model.cfg.n_layers
     lo, hi = layer_range if layer_range is not None else (1, n_layers)
     dumps = []
@@ -422,9 +423,7 @@ def dump_attention(model, sample: ChannelSample, layer_range: tuple[int, int] | 
             continue
         out: dict[str, np.ndarray] = {"branch": branch, "layer": layer + 1}
         for name, arr in entry.items():
-            arr = np.asarray(arr)
-            while arr.ndim > 3:
-                arr = arr[0]  # drop the singleton batch axis
+            arr = arr[0]  # the frame's (heads, rows, cols) maps
             out[name] = arr
             out[f"{name}_colsum"] = arr.sum(axis=(-3, -2))
         dumps.append(out)

@@ -7,9 +7,10 @@ slot-major tables that belief propagation reads, H^T as reals for the
 syndrome products and the foundation head, and the additive attention masks,
 each built on first use.
 
-Masked positions carry -inf so that softmax assigns them weight exactly 0;
-unmasked positions carry 0. Cross-attention decoders use the PCM and its
-transpose directly; self-attention decoders use the depth-2 connectivity mask.
+Masked positions carry -inf and unmasked positions carry 0; `masked_softmax`
+reads only which entries are 0, and gives every other entry weight exactly 0.
+Cross-attention decoders use the PCM and its transpose directly;
+self-attention decoders use the depth-2 connectivity mask.
 """
 
 from __future__ import annotations

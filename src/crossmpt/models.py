@@ -424,9 +424,9 @@ class DecoderModel:
             return foundation_logits(self.params, self.cfg, self.code.pcms, mag, syndromes, capture)
         return forward_arrays(self.params, self.cfg, self.code.pcm, mag, syndromes[0], capture)
 
-    def logits_batch(self, mag: np.ndarray, syn: np.ndarray, capture: list | None = None) -> Tensor:
+    def logits_batch(self, mag: np.ndarray, syn: np.ndarray) -> Tensor:
         """`logits` of a code with one PCM, from its one syndrome array."""
-        return self.logits(mag, [syn], capture)
+        return self.logits(mag, [syn])
 
     def decode_batch(self, batch: BatchSample) -> np.ndarray:
         """Hard decisions for a batch, decoded in row slices on this process's

@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +14,7 @@ from crossmpt.masks import _padded_groups
 # cumulative products and int64 syndromes. bp_decode_batch must reproduce it
 # bit for bit.
 _REF_TANH_CLIP = 1.0 - 1e-12
+_REF_SATURATED = 1e300  # min-sum's finite identity
 
 
 def ref_padded_groups(owner, groups):
@@ -39,10 +38,10 @@ def ref_excl_prod(t):
     return pre * suf
 
 
-def ref_excl_min(t):
-    pre = np.full_like(t, np.inf)
+def ref_excl_min(t, identity=np.inf):
+    pre = np.full_like(t, identity)
     np.minimum.accumulate(t[..., :-1], axis=-1, out=pre[..., 1:])
-    suf = np.full_like(t, np.inf)
+    suf = np.full_like(t, identity)
     np.minimum.accumulate(t[..., :0:-1], axis=-1, out=suf[..., -2::-1])
     return np.minimum(pre, suf)
 
@@ -72,8 +71,8 @@ def ref_bp_decode_batch(llr, h, cfg):
             signs = np.where(gathered < 0, -1.0, 1.0)
             signs[:, cn_pad] = 1.0
             mags = np.abs(gathered)
-            mags[:, cn_pad] = np.inf
-            msgs = ref_excl_prod(signs) * ref_excl_min(mags)
+            mags[:, cn_pad] = _REF_SATURATED
+            msgs = ref_excl_prod(signs) * ref_excl_min(mags, _REF_SATURATED)
         c2v = np.empty_like(v2c)
         c2v[:, cn_e[~cn_pad]] = msgs[:, ~cn_pad]
         incoming = c2v[:, vn_e]
@@ -318,11 +317,9 @@ class TestBpDecode:
         sigma = np.array([ebn0_to_sigma(e, 0.5) for e in ebn0])[:, None]
         llr = 2.0 * (1.0 + sigma * rng.standard_normal((len(ebn0), n))) / sigma**2
         cfg = BpConfig(max_iters=max_iters, algorithm=algorithm)
-        # min-sum sends +inf from a check of degree one, so the message back on
-        # that edge is inf - inf: NaN and a RuntimeWarning, in the reference
-        # and in bp_decode_batch alike. Sum-product's clipped messages stay finite.
-        quiet = np.errstate(invalid="ignore") if algorithm == "min_sum" else contextlib.nullcontext()
-        with quiet:
+        # a check of degree one sends min-sum's finite identity, so no message
+        # is inf - inf, in the reference or in bp_decode_batch
+        with np.errstate(all="raise"):
             got = bp_decode_batch(llr, TannerGraph(h), cfg)
             ref = ref_bp_decode_batch(llr, h, cfg)
         for a, b in zip(got, ref):
@@ -356,6 +353,21 @@ class TestBpDecode:
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
         assert (got[0][:, 3] == [1, 0]).all()
+
+    @pytest.mark.parametrize("algorithm", ["sum_product", "min_sum"])
+    def test_check_of_degree_one_forces_its_bit(self, algorithm):
+        # check 0 holds bit 0 alone and check 1 ties bit 1 to it, so both bits
+        # are 0 in every codeword; their channel LLRs say 1. Min-sum's message
+        # from check 0 must be finite, or the message back on that edge is
+        # inf - inf: NaN and a RuntimeWarning.
+        h = BinaryMatrix([[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [1, 0, 1, 1, 0, 0], [0, 0, 0, 1, 1, 1]])
+        word = np.array([0, 0, 1, 1, 1, 0], dtype=np.uint8)
+        llr = 4.0 * modulate(word)
+        llr[:2] = -0.5
+        with np.errstate(all="raise"):
+            out, iters, conv = bp_decode(llr, TannerGraph(h), BpConfig(max_iters=10, algorithm=algorithm))
+        assert conv
+        assert np.array_equal(out, word)
 
     def test_nonconvergence_is_flag_not_error(self, hamming_graph):
         llr = np.array([0.1, -0.1, 0.1, -0.1, 0.1, -0.1, 0.1])

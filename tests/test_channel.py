@@ -13,6 +13,7 @@ from crossmpt.channel import (
     sample_batch,
 )
 from crossmpt.codes import get_code
+from crossmpt.ensemble import build_ensemble
 
 
 class TestModulate:
@@ -58,7 +59,7 @@ class TestSampling:
     def test_noiseless_limit(self):
         code = get_code("bch_15_7")
         spec = NoiseSpec.for_code(code, 60.0, seed=1)
-        smp = sample(code, spec, policy="random")
+        smp = sample_batch(code, spec, 1, policy="random")
         assert np.array_equal(smp.y_b, smp.x)
         assert all(not s.any() for s in smp.syndromes)
         assert not smp.target.any()
@@ -74,12 +75,12 @@ class TestSampling:
         assert not np.array_equal(a.y, c.y)
 
     def test_noise_variance_within_one_percent(self):
-        # Monte-Carlo oracle: empirical variance of y - x_s over 1e6 draws
+        # Monte-Carlo oracle: empirical variance of y - modulate(x) over 1e6 draws
         code = get_code("hamming_7_4")
         ebn0 = 4.0
         spec = NoiseSpec.for_code(code, ebn0, seed=2)
         batch = sample_batch(code, spec, 150_000, policy="all_zero")
-        noise = batch.y - batch.x_s
+        noise = batch.y - modulate(batch.x)
         sigma2 = ebn0_to_sigma(ebn0, code.rate) ** 2
         assert abs(noise.var() - sigma2) / sigma2 < 0.01
         assert noise.size >= 1_000_000
@@ -87,18 +88,17 @@ class TestSampling:
     def test_sample_fields_consistent(self):
         code = get_code("ldpc_32_16")
         spec = NoiseSpec.for_code(code, 2.0, seed=3)
-        smp = sample(code, spec, policy="random", index=7)
-        assert np.array_equal(smp.x_s, modulate(smp.x))
+        smp = sample_batch(code, spec, 1, policy="random", stream=(7,))
         assert np.array_equal(smp.y_b, hard_decision(smp.y))
         assert np.array_equal(smp.mag, np.abs(smp.y))
         h = code.pcm.bits.astype(int)
-        assert np.array_equal(smp.syndromes[0], (h @ smp.y_b) % 2)
-        assert np.array_equal(smp.target, hard_decision(smp.y * smp.x_s))
+        assert np.array_equal(smp.syndromes[0], (smp.y_b @ h.T) % 2)
+        assert np.array_equal(smp.target, hard_decision(smp.y * modulate(smp.x)))
 
     def test_target_is_hard_decision_for_all_zero(self):
         code = get_code("bch_15_7")
         spec = NoiseSpec.for_code(code, 2.0, seed=5)
-        smp = sample(code, spec, policy="all_zero", index=1)
+        smp = sample_batch(code, spec, 1, policy="all_zero", stream=(1,))
         assert np.array_equal(smp.target, smp.y_b)
 
     def test_error_free_hard_decision_has_zero_syndrome(self):
@@ -113,6 +113,28 @@ class TestSampling:
         spec = NoiseSpec.for_code(code, 3.0, 7.0, seed=6)
         batch = sample_batch(code, spec, 64, policy="all_zero")
         assert len(np.unique(batch.ebn0_db)) > 32
+
+
+class TestBatchSample:
+    def test_row_is_every_field_sliced(self):
+        code = build_ensemble(get_code("bch_31_16"), 3).branch_code()
+        batch = sample_batch(code, NoiseSpec.for_code(code, 1.0, 6.0, seed=4), 5, policy="random")
+        for b in range(len(batch)):
+            row = batch.row(b)
+            for name in ("x", "y", "y_b", "mag", "target"):
+                assert np.array_equal(getattr(row, name), getattr(batch, name)[b])
+            assert len(row.syndromes) == len(batch.syndromes) == 3
+            for s_row, s_batch in zip(row.syndromes, batch.syndromes):
+                assert np.array_equal(s_row, s_batch[b])
+            assert row.ebn0_db == batch.ebn0_db[b]
+
+    def test_len_counts_frames_and_a_row_has_none(self):
+        code = get_code("hamming_7_4")
+        batch = sample_batch(code, NoiseSpec.for_code(code, 3.0), 6)
+        assert len(batch) == 6
+        with pytest.raises(TypeError):
+            len(batch.row(0))
+        assert len(sample_batch(code, NoiseSpec.for_code(code, 3.0), 1)) == 1
 
 
 class TestInvariancePair:

@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import pathlib
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from conftest import rewrite_checkpoint_header
 from crossmpt import evaluation
+from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.cli import _decoder_from_checkpoint, main
 from crossmpt.codes import dense_text_dumps, get_code, load_code
@@ -379,6 +381,25 @@ class TestDumpAttentionCommand:
         arr = np.loadtxt(out / "layer01_mag_to_syn.csv", delimiter=",")
         assert arr.shape == (32, 16)
         assert len(list(out.glob("layer*.csv"))) == 4
+
+    def test_noise_path_writes_the_dump_of_a_one_row_batch(self, runner, tmp_path, tiny_checkpoint):
+        out = tmp_path / "noisy"
+        result = invoke(
+            runner, "dump-attention", "--checkpoint", tiny_checkpoint, "--code", "bch_15_7",
+            "--ebn0", 5, "--seed", 2, "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        code = get_code("bch_15_7")
+        model = _decoder_from_checkpoint(str(tiny_checkpoint), code)
+        expected = {}
+        for entry in evaluation.dump_attention(model, sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=2), 1)):
+            for name, arr in entry.items():
+                if name not in ("branch", "layer"):
+                    text = io.BytesIO()
+                    np.savetxt(text, arr.reshape(-1, arr.shape[-1]), delimiter=",")
+                    expected[f"layer{entry['layer']:02d}_{name}.csv"] = text.getvalue()
+        assert len(expected) == 4
+        assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == expected
 
     def test_non_finite_logits_exit_3(self, runner, tmp_path, tiny_checkpoint):
         data = dict(np.load(tiny_checkpoint, allow_pickle=False))

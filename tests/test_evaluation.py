@@ -15,7 +15,7 @@ from scipy.stats import chi2
 
 from crossmpt import evaluation, parallel
 from crossmpt.bp import BpConfig
-from crossmpt.channel import NoiseSpec, sample, sample_batch
+from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.codes import get_code, list_codes
 from crossmpt.ensemble import CrossEDModel, build_ensemble
 from crossmpt.evaluation import (
@@ -525,7 +525,7 @@ class TestDumpAttention:
         code = get_code("ldpc_32_16")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=3, embed_dim=16)
         model = DecoderModel(cfg, code, seed=8, infer_only=True)
-        smp = sample(code, NoiseSpec.for_code(code, 5.0, seed=9), policy="random")
+        smp = sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=9), 1, policy="random")
         dumps = dump_attention(model, smp)
         assert len(dumps) == 3
         support_ht = code.pcm.bits.T.astype(bool)
@@ -540,7 +540,7 @@ class TestDumpAttention:
         code = get_code("hamming_7_4")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=4, embed_dim=8)
         model = DecoderModel(cfg, code, seed=10, infer_only=True)
-        smp = sample(code, NoiseSpec.for_code(code, 5.0, seed=11))
+        smp = sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=11), 1)
         dumps = dump_attention(model, smp, layer_range=(1, 2))
         assert [d["layer"] for d in dumps] == [1, 2]
 
@@ -551,7 +551,7 @@ class TestDumpAttention:
         # both list orders, so that one of them differs from the fused sum's canonical order
         for pcms in (ens.pcms, ens.pcms[::-1]):
             model = CrossEDModel(replace(ens, pcms=pcms), seed=18, infer_only=True)
-            smp = sample(model.code, NoiseSpec.for_code(code, 5.0, seed=17), policy="random")
+            smp = sample_batch(model.code, NoiseSpec.for_code(code, 5.0, seed=17), 1, policy="random")
             dumps = dump_attention(model, smp)
             assert [(d["branch"], d["layer"]) for d in dumps] == [(0, 1), (0, 2), (1, 1), (1, 2)]
             for entry in dumps:
@@ -564,7 +564,7 @@ class TestDumpAttention:
         code = get_code("hamming_7_4")
         cfg = ModelConfig(variant=Variant.ECCT, n_layers=2, embed_dim=8)
         model = DecoderModel(cfg, code, seed=12, infer_only=True)
-        smp = sample(code, NoiseSpec.for_code(code, 60.0, seed=13))
+        smp = sample_batch(code, NoiseSpec.for_code(code, 60.0, seed=13), 1)
         assert not smp.syndromes[0].any()
         dumps = dump_attention(model, smp)
         assert len(dumps) == 2 and "self" in dumps[0]

@@ -160,7 +160,7 @@ class TestCrossLayer:
         model = DecoderModel(cfg, code, seed=6)
         smp = sample(code, NoiseSpec.for_code(code, 3.0, seed=7), policy="random")
         capture = []
-        model.logits_batch(smp.mag[None, :], smp.syndromes[0][None, :], capture=capture)
+        model.logits(smp.mag[None, :], [smp.syndromes[0][None, :]], capture)
         support_ht = code.pcm.bits.T.astype(bool)
         support_h = code.pcm.bits.astype(bool)
         for entry in capture:
@@ -212,7 +212,7 @@ class TestForward:
         model = DecoderModel(cfg, code, seed=2)
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=4))
         capture = []
-        model.logits_batch(smp.mag[None, :], smp.syndromes[0][None, :], capture=capture)
+        model.logits(smp.mag[None, :], [smp.syndromes[0][None, :]], capture)
         assert capture[0]["self"].shape == (1, 1, 10, 10)  # (B, heads, 2n-k, 2n-k)
 
     def test_multihead_forward_runs(self):
