@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -147,7 +148,19 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with np.load(Path(path), allow_pickle=False) as archive:
+    """Read a checkpoint. Raises OSError when the file cannot be opened and
+    CheckpointError for any file that is not a checkpoint this version can use."""
+    try:
+        return _read_checkpoint(Path(path))
+    except CheckpointError:
+        raise
+    except (ValueError, TypeError, KeyError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not a readable checkpoint archive ({type(exc).__name__}: {exc})") from exc
+
+
+def _read_checkpoint(path: Path) -> Checkpoint:
+    # np.load leaves a path it opened open when the archive is not a zip file
+    with path.open("rb") as fh, np.load(fh, allow_pickle=False) as archive:
         if "__header__" not in archive:
             raise CheckpointError("not a checkpoint file (missing header)")
         header = json.loads(bytes(archive["__header__"]).decode())
@@ -158,6 +171,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"checkpoint version {header.get('version')} unsupported (expected {VERSION})"
             )
         _drop_retired_keys(header)
+        config_from_dict(header["model"])  # refuse a model this version cannot build
         sections: dict[str, dict] = {k: {} for k in ("param", "adam_m", "adam_v", "code_pcm", "branch_pcm")}
         for key in archive.files:  # each member but the header, read once
             kind, _, name = key.partition(":")

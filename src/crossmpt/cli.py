@@ -1,14 +1,17 @@
 """Batch experimentation CLI.
 
 Every command writes its outputs plus a manifest.json capturing the fully
-resolved configuration, code registry hashes, seed, and artifact list.
-Reruns with an identical manifest produce bitwise-equal CSV outputs. Exit
-codes: 0 success, 2 configuration error, 3 numeric failure.
+resolved configuration, the sha256 of each code's PCM file and of the
+checkpoint it decodes with, seed, and artifact list. Reruns with an
+identical manifest produce bitwise-equal CSV outputs. Exit codes: 0
+success, 2 configuration error (an unreadable checkpoint among them), 3
+numeric failure.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -80,11 +83,22 @@ def _out_dir(out: str | None, tag: str) -> Path:
     return _make_dir(_out_path(out, tag))
 
 
-def _write_manifest(out: Path, command: str, config: dict, codes: list[str], seed: int, artifacts: list[str]) -> None:
+def _sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _write_manifest(out: Path, command: str, config: dict, codes: list[str], seed: int, artifacts: list[str],
+                    pcm_file: str | None = None) -> None:
+    """Write manifest.json. A code is identified by the sha256 of its PCM
+    file: the --pcm-file it was read from, else its bundled registry file."""
+    if pcm_file:
+        code_hashes = {codes[0]: _sha256(pcm_file)}
+    else:
+        code_hashes = {name: registry_hash(name) for name in codes if name in list_codes()}
     manifest = {
         "command": command,
         "config": config,
-        "code_hashes": {name: registry_hash(name) for name in codes if name in list_codes()},
+        "code_hashes": code_hashes,
         "seed": seed,
         "artifacts": sorted(artifacts),
         "version": __version__,
@@ -207,7 +221,7 @@ def cmd_train(code_name, codes_csv, config_file, out, resume_from, **flags) -> N
     if resume_from is not None and not Path(resume_from).is_file():
         raise ConfigError(f"cannot resume: no checkpoint file {resume_from}")
 
-    out_path = _out_dir(out, f"train_{'_'.join(cfg.codes)}_{cfg.variant}")
+    out_path = _out_path(out, f"train_{'_'.join(cfg.codes)}_{cfg.variant}")  # train() makes it
     try:
         report = train(cfg, out_dir=out_path, resume_from=resume_from)
     except NumericFailure as exc:
@@ -324,7 +338,9 @@ def cmd_eval(code_name, pcm_file, checkpoint, decoder_kind, ebn0, iters, bp_algo
         "min_errors": min_errors, "max_bits": max_bits, "policy": policy,
         "iters": iters if decoder_kind == "bp" else None,
     }
-    _write_manifest(out_path, "eval", config, [code.name], seed, artifacts)
+    if checkpoint:
+        config["checkpoint_sha256"] = _sha256(checkpoint)
+    _write_manifest(out_path, "eval", config, [code.name], seed, artifacts, pcm_file)
     for row in report.rows:
         neg = "censored" if row.ber == 0 else f"{row.neg_ln_ber:.3f}"
         click.echo(
@@ -375,7 +391,7 @@ def cmd_analyze(code_name, pcm_file, n_layers, embed_dim, out) -> None:
         )
     _write_manifest(out_path, "analyze",
                     {"code": code.name, "n_layers": n_layers, "embed_dim": embed_dim},
-                    [code.name], 0, ["complexity.csv"])
+                    [code.name], 0, ["complexity.csv"], pcm_file)
 
 
 @main.command("dump-attention")
@@ -417,26 +433,17 @@ def cmd_dump_attention(checkpoint, code_name, flip_bit, ebn0, layers, seed, out)
             raise ConfigError(f"invalid --ebn0 {ebn0}: {exc}") from exc
         batch = sample_batch(decoder.code, spec, 1)
     try:
-        dumps = dump_attention(decoder, batch, layer_range)
+        tables = dump_attention(decoder, batch, layer_range)
     except FloatingPointError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(3)
     out_path = _out_dir(out, f"attention_{code.name}")
-    branches = len(decoder.code.pcms)
-    artifacts = []
-    for entry in dumps:
-        stem = f"layer{entry['layer']:02d}"
-        if branches > 1:
-            stem = f"branch{entry['branch']}_{stem}"
-        for name, arr in entry.items():
-            if name in ("branch", "layer"):
-                continue
-            fname = f"{stem}_{name}.csv"
-            arr2 = np.asarray(arr)
-            np.savetxt(out_path / fname, arr2.reshape(-1, arr2.shape[-1]), delimiter=",")
-            artifacts.append(fname)
+    artifacts = [f"{stem}.csv" for stem in tables]
+    for fname, table in zip(artifacts, tables.values()):
+        np.savetxt(out_path / fname, table, delimiter=",")
     _write_manifest(out_path, "dump-attention",
-                    {"code": code.name, "flip_bit": flip_bit, "layers": layers, "ebn0": ebn0},
+                    {"code": code.name, "flip_bit": flip_bit, "layers": layers, "ebn0": ebn0,
+                     "checkpoint_sha256": _sha256(checkpoint)},
                     [code.name], seed, artifacts)
     click.echo(f"wrote {len(artifacts)} files to {out_path}")
 

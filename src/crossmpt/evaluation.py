@@ -27,7 +27,7 @@ from .channel import BatchSample, NoiseSpec, sample_batch
 from .codes import Code
 from .ensemble import EnsembleConfig, coverage_report
 from .masks import tanner_graph
-from .models import FFN_EXPANSION, ModelConfig, decide
+from .models import FFN_EXPANSION, ModelConfig, Variant, decide
 from .parallel import keep_freed_heap, one_blas_thread, submit
 
 __all__ = [
@@ -400,34 +400,33 @@ def density_check(code: Code) -> dict | None:
 # attention dumps and per-position tables
 
 
-def dump_attention(model, batch: BatchSample, layer_range: tuple[int, int] | None = None):
-    """Per-layer attention score matrices and their vertical (per-column) sums
-    for the one frame of a one-row batch.
+def dump_attention(model, batch: BatchSample, layer_range: tuple[int, int] | None = None) -> dict[str, np.ndarray]:
+    """The attention maps of the one frame of a one-row batch as 2-D tables,
+    keyed by file stem.
 
-    Works for cross-attention models (two maps per layer) and self-attention
-    models (one map per layer). Returns a list of dicts with the raw arrays,
-    the 1-based `layer` and the 0-based ensemble `branch` (0 for a single
-    model), branch by branch; layer_range selects the same layers of every
-    branch. Masked positions are exact zeros. Raises FloatingPointError when
-    the logits are not finite, as decoding does.
+    A self-attention model has one map per layer, `self`; a cross-attention
+    model two, `mag_to_syn` then `syn_to_mag`. Stems are `layerLL_<map>`
+    (layers from 1), prefixed `branchB_` when the code has several PCMs;
+    layer_range selects the same layers of every branch. A map's table stacks
+    its heads by rows, masked positions exact zeros; `<stem>_colsum` is the
+    one-row table of its vertical sums. Raises FloatingPointError when the
+    logits are not finite, as decoding does.
     """
     capture: list = []
     logits = model.logits(batch.mag, batch.syndromes, capture)
     decide(batch.y, logits.data)  # raises on non-finite logits
-    n_layers = model.cfg.n_layers
-    lo, hi = layer_range if layer_range is not None else (1, n_layers)
-    dumps = []
-    for idx, entry in enumerate(capture):
-        branch, layer = divmod(idx, n_layers)
-        if not lo <= layer + 1 <= hi:
-            continue
-        out: dict[str, np.ndarray] = {"branch": branch, "layer": layer + 1}
-        for name, arr in entry.items():
-            arr = arr[0]  # the frame's (heads, rows, cols) maps
-            out[name] = arr
-            out[f"{name}_colsum"] = arr.sum(axis=(-3, -2))
-        dumps.append(out)
-    return dumps
+    cfg = model.cfg
+    names = ("self",) if cfg.variant in (Variant.ECCT, Variant.ECCT_FULLY_MASKED) else ("mag_to_syn", "syn_to_mag")
+    lo, hi = layer_range if layer_range is not None else (1, cfg.n_layers)
+    branches = range(len(model.code.pcms))
+    tables = {}
+    for maps, (b, layer, name) in zip(capture, itertools.product(branches, range(1, cfg.n_layers + 1), names)):
+        if lo <= layer <= hi:
+            heads = maps[0]  # the frame's (heads, rows, cols) maps
+            stem = f"layer{layer:02d}_{name}" if len(branches) == 1 else f"branch{b}_layer{layer:02d}_{name}"
+            tables[stem] = heads.reshape(-1, heads.shape[-1])
+            tables[f"{stem}_colsum"] = heads.sum(axis=(0, 1))[None, :]
+    return tables
 
 
 def bitwise_ber(report: BerReport, ens: EnsembleConfig | None = None) -> list[dict]:

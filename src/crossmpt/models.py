@@ -168,6 +168,8 @@ def _attention(
     cfg: ModelConfig,
     capture: list | None,
 ) -> Tensor:
+    """Masked attention of q_in over kv_in; appends the (…, heads, rows, cols)
+    weights to `capture` when one is given."""
     dh = cfg.embed_dim // cfg.heads
     q = ad.scale(ad.matmul(q_in, lp["w_q"]), 1.0 / np.sqrt(dh))  # q, not the (B, r, c) scores: lower peak
     k = ad.matmul(kv_in, lp["w_k"])
@@ -246,15 +248,12 @@ def crossmpt_layer(
 ) -> tuple[Tensor, Tensor]:
     """One decoding layer: update magnitude from syndrome, then syndrome from
     the updated magnitude. Both blocks share lp, so s_t's attention input is
-    computed once: block 1 reads it as keys/values, block 2 as queries."""
+    computed once: block 1 reads it as keys/values, block 2 as queries. The
+    blocks append their maps to `capture` in that order."""
     mask_ht, mask_h = masks
-    cap1 = [] if capture is not None else None
-    cap2 = [] if capture is not None else None
     s_in = _attn_input(s_t, lp)
-    m_new = _block(m_t, _attn_input(m_t, lp), s_in, lp, mask_ht, cfg, cap1)
-    s_new = _block(s_t, s_in, _attn_input(m_new, lp), lp, mask_h, cfg, cap2)
-    if capture is not None:
-        capture.append({"mag_to_syn": cap1[0], "syn_to_mag": cap2[0]})
+    m_new = _block(m_t, _attn_input(m_t, lp), s_in, lp, mask_ht, cfg, capture)
+    s_new = _block(s_t, s_in, _attn_input(m_new, lp), lp, mask_h, cfg, capture)
     return m_new, s_new
 
 
@@ -315,7 +314,7 @@ def foundation_logits(
     """Shared-weight foundation forward over one or more PCM branches, fused
     by addition before the final shared FC.
 
-    Towers run, and append their layers to `capture`, in the order the
+    Towers run, and append their attention maps to `capture`, in the order the
     branches are listed. Their contributions are summed in a canonical order
     (sorted by PCM bytes), which makes the result exactly invariant to that
     order.
@@ -353,12 +352,9 @@ def forward_arrays(
     mask = graph.ecct_mask if cfg.variant is Variant.ECCT else graph.fully_masked_ecct_mask
     x = ad.concat(_embed_tensors(params, cfg, mag, syn))
     for i in range(cfg.n_layers):
-        cap = [] if capture is not None else None
         lp = _layer_params(params, i)
         x_in = _attn_input(x, lp)
-        x = _block(x, x_in, x_in, lp, mask, cfg, cap)
-        if capture is not None:
-            capture.append({"self": cap[0]})
+        x = _block(x, x_in, x_in, lp, mask, cfg, capture)
     return _head_code_specific(params, x)
 
 

@@ -251,6 +251,8 @@ def train(
         ck = load_checkpoint(resume_from)
         if ck.header.get("train_cfg") is None:
             raise CheckpointError("checkpoint carries no training config; cannot resume")
+        if ck.adam is None:
+            raise CheckpointError("checkpoint carries no optimizer state; cannot resume")
         _validate_resume(ck.header["train_cfg"], cfg)
         params = ck.params
         adam = ck.adam

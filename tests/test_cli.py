@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import logging
@@ -15,9 +16,10 @@ from crossmpt import evaluation
 from crossmpt.channel import NoiseSpec, sample_batch
 from crossmpt.checkpoint import load_checkpoint
 from crossmpt.cli import _decoder_from_checkpoint, main
-from crossmpt.codes import dense_text_dumps, get_code, load_code
+from crossmpt.codes import dense_text_dumps, get_code, load_code, registry_hash
 from crossmpt.ensemble import build_ensemble
 from crossmpt.gf2 import BinaryMatrix
+from test_checkpoint import _rewrite_arrays, _rewrite_header
 
 
 @pytest.fixture()
@@ -392,12 +394,10 @@ class TestDumpAttentionCommand:
         code = get_code("bch_15_7")
         model = _decoder_from_checkpoint(str(tiny_checkpoint), code)
         expected = {}
-        for entry in evaluation.dump_attention(model, sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=2), 1)):
-            for name, arr in entry.items():
-                if name not in ("branch", "layer"):
-                    text = io.BytesIO()
-                    np.savetxt(text, arr.reshape(-1, arr.shape[-1]), delimiter=",")
-                    expected[f"layer{entry['layer']:02d}_{name}.csv"] = text.getvalue()
+        for stem, table in evaluation.dump_attention(model, sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=2), 1)).items():
+            text = io.BytesIO()
+            np.savetxt(text, table, delimiter=",")
+            expected[f"{stem}.csv"] = text.getvalue()
         assert len(expected) == 4
         assert {p.name: p.read_bytes() for p in out.glob("*.csv")} == expected
 
@@ -717,6 +717,101 @@ class TestConfigurationErrorsExit2:
             "--out", str(tmp_path / "out"),
         ])
         self.assert_config_error(result, "p=3 outside 1..2")
+
+    # training args of `resumable_checkpoint`, which a resume must repeat
+    RESUME_ARGS = ["train", "--code", "hamming_7_4", "--n-layers", "1", "--dim", "8", "--epochs", "2",
+                   "--batches-per-epoch", "1", "--batch-size", "4", "--checkpoint-every", "1"]
+
+    @pytest.fixture(scope="class")
+    def resumable_checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("resumable")
+        invoke(CliRunner(), *self.RESUME_ARGS, "--out", out)
+        return out / "checkpoint_epoch0001.npz"
+
+    @staticmethod
+    def _unreadable(kind, source, path):
+        """Write at `path` a damaged copy of the checkpoint `source`."""
+        if kind == "truncated":
+            path.write_bytes(source.read_bytes()[:source.stat().st_size // 2])
+        elif kind == "text":
+            path.write_text("not an archive\n")
+        elif kind == "npy":
+            with path.open("wb") as fh:
+                np.save(fh, np.ones(3))
+        else:
+            shutil.copy(source, path)
+            if kind == "no_model":
+                with np.load(path, allow_pickle=False) as archive:
+                    header = json.loads(bytes(archive["__header__"]).decode())
+                del header["model"]
+                _rewrite_arrays(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
+            elif kind == "unknown_variant":
+                _rewrite_header(path, model={"variant": "transformer", "n_layers": 1, "embed_dim": 8, "heads": 1})
+            else:
+                _rewrite_arrays(path, **{"branch_pcm:x": np.eye(3, dtype=np.uint8)})
+        return path
+
+    @pytest.mark.parametrize("kind", ["truncated", "text", "npy", "no_model", "unknown_variant", "bad_member_name"])
+    def test_unreadable_checkpoint(self, runner, tmp_path, resumable_checkpoint, kind):
+        path = self._unreadable(kind, resumable_checkpoint, tmp_path / f"{kind}.npz")
+        for command in (
+            ["eval", "--checkpoint", str(path), "--code", "hamming_7_4", "--max-bits", "700"],
+            ["dump-attention", "--checkpoint", str(path), "--code", "hamming_7_4"],
+            [*self.RESUME_ARGS, "--resume", str(path)],
+        ):
+            result = runner.invoke(main, [*command, "--out", str(tmp_path / "out")])
+            self.assert_config_error(result, path.name)
+            assert not (tmp_path / "out").exists()
+
+    def test_resume_without_optimizer_state(self, runner, tmp_path, resumable_checkpoint):
+        path = tmp_path / "no_adam.npz"
+        shutil.copy(resumable_checkpoint, path)
+        _rewrite_header(path, adam_t=None)
+        result = runner.invoke(main, [*self.RESUME_ARGS, "--resume", str(path), "--out", str(tmp_path / "out")])
+        self.assert_config_error(result, "optimizer state")
+        assert not (tmp_path / "out").exists()
+
+
+class TestManifestIdentifiesInputs:
+    @staticmethod
+    def manifest(out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_checkpoint_runs_record_the_checkpoint_hash(self, runner, tmp_path, tiny_checkpoint):
+        # two different checkpoints under one file name
+        other = tmp_path / "other" / tiny_checkpoint.name
+        other.parent.mkdir()
+        shutil.copy(tiny_checkpoint, other)
+        _rewrite_arrays(other, **{"param:head.fc.b": np.ones(1)})
+        hashes = set()
+        for tag, path in (("a", tiny_checkpoint), ("b", other)):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            invoke(runner, "eval", "--checkpoint", path, "--code", "bch_15_7", "--max-bits", 1500,
+                   "--out", tmp_path / f"eval_{tag}")
+            invoke(runner, "dump-attention", "--checkpoint", path, "--code", "bch_15_7", "--out",
+                   tmp_path / f"dump_{tag}")
+            for run in ("eval", "dump"):
+                assert self.manifest(tmp_path / f"{run}_{tag}")["config"]["checkpoint_sha256"] == digest
+            hashes.add(digest)
+        assert len(hashes) == 2
+
+    def test_registry_runs_record_no_checkpoint(self, runner, tmp_path):
+        invoke(runner, "eval", "--code", "hamming_7_4", "--decoder", "uncoded", "--max-bits", 700,
+               "--out", tmp_path)
+        manifest = self.manifest(tmp_path)
+        assert "checkpoint_sha256" not in manifest["config"]
+        assert manifest["code_hashes"] == {"hamming_7_4": registry_hash("hamming_7_4")}
+
+    @pytest.mark.parametrize("name", ["bch_15_7", "my_hamming"])
+    def test_pcm_file_code_is_identified_by_its_file(self, runner, tmp_path, name):
+        # a file named after a registry code but holding another PCM, and one no registry code names
+        pcm = tmp_path / f"{name}.txt"
+        pcm.write_text(dense_text_dumps(get_code("hamming_7_4").pcm))
+        digest = hashlib.sha256(pcm.read_bytes()).hexdigest()
+        for command in (["eval", "--decoder", "uncoded", "--max-bits", "700"], ["analyze"]):
+            out = tmp_path / command[0]
+            invoke(runner, *command, "--pcm-file", pcm, "--out", out)
+            assert self.manifest(out)["code_hashes"] == {name: digest}
 
 
 class TestBuildEnsembleCommand:

@@ -526,23 +526,37 @@ class TestDumpAttention:
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=3, embed_dim=16)
         model = DecoderModel(cfg, code, seed=8, infer_only=True)
         smp = sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=9), 1, policy="random")
-        dumps = dump_attention(model, smp)
-        assert len(dumps) == 3
+        tables = dump_attention(model, smp)
+        maps = ("mag_to_syn", "mag_to_syn_colsum", "syn_to_mag", "syn_to_mag_colsum")
+        assert list(tables) == [f"layer{layer:02d}_{name}" for layer in (1, 2, 3) for name in maps]
         support_ht = code.pcm.bits.T.astype(bool)
-        for entry in dumps:
-            assert entry["mag_to_syn"].shape == (1, 32, 16)
-            assert entry["syn_to_mag"].shape == (1, 16, 32)
-            assert (entry["mag_to_syn"][0][~support_ht] == 0.0).all()
-            assert entry["mag_to_syn_colsum"].shape == (16,)
-            assert entry["syn_to_mag_colsum"].shape == (32,)
+        for layer in (1, 2, 3):
+            mag_to_syn = tables[f"layer{layer:02d}_mag_to_syn"]
+            assert mag_to_syn.shape == (32, 16)
+            assert tables[f"layer{layer:02d}_syn_to_mag"].shape == (16, 32)
+            assert (mag_to_syn[~support_ht] == 0.0).all()
+            assert tables[f"layer{layer:02d}_mag_to_syn_colsum"].shape == (1, 16)
+            assert tables[f"layer{layer:02d}_syn_to_mag_colsum"].shape == (1, 32)
+
+    def test_heads_are_stacked_by_rows(self):
+        code = get_code("hamming_7_4")
+        cfg = ModelConfig(variant=Variant.ECCT, n_layers=1, embed_dim=8, heads=2)
+        model = DecoderModel(cfg, code, seed=3, infer_only=True)
+        smp = sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=4), 1)
+        tables = dump_attention(model, smp)
+        capture = []
+        model.logits(smp.mag, smp.syndromes, capture)
+        head0, head1 = capture[0][0]  # (2n-k, 2n-k) each
+        np.testing.assert_array_equal(tables["layer01_self"], np.concatenate([head0, head1]))
+        np.testing.assert_allclose(tables["layer01_self_colsum"], [(head0 + head1).sum(axis=0)], rtol=1e-14)
 
     def test_layer_range_filter(self):
         code = get_code("hamming_7_4")
         cfg = ModelConfig(variant=Variant.CROSSMPT, n_layers=4, embed_dim=8)
         model = DecoderModel(cfg, code, seed=10, infer_only=True)
         smp = sample_batch(code, NoiseSpec.for_code(code, 5.0, seed=11), 1)
-        dumps = dump_attention(model, smp, layer_range=(1, 2))
-        assert [d["layer"] for d in dumps] == [1, 2]
+        tables = dump_attention(model, smp, layer_range=(1, 2))
+        assert sorted({stem[:7] for stem in tables}) == ["layer01", "layer02"]
 
     def test_crossed_maps_are_numbered_by_branch_in_list_order(self):
         code = get_code("bch_15_7")
@@ -552,13 +566,29 @@ class TestDumpAttention:
         for pcms in (ens.pcms, ens.pcms[::-1]):
             model = CrossEDModel(replace(ens, pcms=pcms), seed=18, infer_only=True)
             smp = sample_batch(model.code, NoiseSpec.for_code(code, 5.0, seed=17), 1, policy="random")
-            dumps = dump_attention(model, smp)
-            assert [(d["branch"], d["layer"]) for d in dumps] == [(0, 1), (0, 2), (1, 1), (1, 2)]
-            for entry in dumps:
-                h = pcms[entry["branch"]].bits
-                assert ((entry["mag_to_syn"] == 0) == (h.T == 0)).all()
-                assert ((entry["syn_to_mag"] == 0) == (h == 0)).all()
-            assert [d["layer"] for d in dump_attention(model, smp, layer_range=(2, 2))] == [2, 2]
+            tables = dump_attention(model, smp)
+            assert [stem for stem in tables if not stem.endswith("_colsum")] == [
+                f"branch{b}_layer{layer:02d}_{name}" for b in (0, 1) for layer in (1, 2)
+                for name in ("mag_to_syn", "syn_to_mag")
+            ]
+            for b, h in enumerate(pcms):
+                for layer in (1, 2):
+                    stem = f"branch{b}_layer{layer:02d}"
+                    assert ((tables[f"{stem}_mag_to_syn"] == 0) == (h.bits.T == 0)).all()
+                    assert ((tables[f"{stem}_syn_to_mag"] == 0) == (h.bits == 0)).all()
+            assert sorted(dump_attention(model, smp, layer_range=(2, 2))) == sorted(
+                stem for stem in tables if "_layer02_" in stem
+            )
+
+    def test_crossed_single_branch_maps_have_no_branch_prefix(self):
+        code = get_code("bch_15_7")
+        ens = build_ensemble(code, 1, base=ModelConfig(variant=Variant.FCROSSMPT, n_layers=2, embed_dim=8))
+        model = CrossEDModel(ens, seed=19, infer_only=True)
+        smp = sample_batch(model.code, NoiseSpec.for_code(code, 5.0, seed=20), 1)
+        assert sorted(dump_attention(model, smp)) == sorted(
+            f"layer{layer:02d}_{name}{suffix}" for layer in (1, 2)
+            for name in ("mag_to_syn", "syn_to_mag") for suffix in ("", "_colsum")
+        )
 
     def test_error_free_sample_still_dumps(self):
         code = get_code("hamming_7_4")
@@ -566,8 +596,9 @@ class TestDumpAttention:
         model = DecoderModel(cfg, code, seed=12, infer_only=True)
         smp = sample_batch(code, NoiseSpec.for_code(code, 60.0, seed=13), 1)
         assert not smp.syndromes[0].any()
-        dumps = dump_attention(model, smp)
-        assert len(dumps) == 2 and "self" in dumps[0]
+        assert list(dump_attention(model, smp)) == [
+            "layer01_self", "layer01_self_colsum", "layer02_self", "layer02_self_colsum",
+        ]
 
 
 class TestBitwiseBer:

@@ -163,9 +163,9 @@ class TestCrossLayer:
         model.logits(smp.mag[None, :], [smp.syndromes[0][None, :]], capture)
         support_ht = code.pcm.bits.T.astype(bool)
         support_h = code.pcm.bits.astype(bool)
-        for entry in capture:
-            weights_ms = entry["mag_to_syn"][0]  # (heads, n, n-k)
-            weights_sm = entry["syn_to_mag"][0]
+        assert len(capture) == 2 * cfg.n_layers  # per layer: mag_to_syn, then syn_to_mag
+        for weights_ms, weights_sm in zip(capture[::2], capture[1::2]):
+            weights_ms, weights_sm = weights_ms[0], weights_sm[0]  # (heads, n, n-k), (heads, n-k, n)
             assert (weights_ms[:, ~support_ht] == 0.0).all()
             assert (weights_sm[:, ~support_h] == 0.0).all()
             assert (weights_ms[:, support_ht] > 0.0).all()
@@ -213,7 +213,8 @@ class TestForward:
         smp = sample(code, NoiseSpec.for_code(code, 4.0, seed=4))
         capture = []
         model.logits(smp.mag[None, :], [smp.syndromes[0][None, :]], capture)
-        assert capture[0]["self"].shape == (1, 1, 10, 10)  # (B, heads, 2n-k, 2n-k)
+        assert len(capture) == cfg.n_layers
+        assert capture[0].shape == (1, 1, 10, 10)  # (B, heads, 2n-k, 2n-k)
 
     def test_multihead_forward_runs(self):
         code = get_code("hamming_7_4")
